@@ -7,8 +7,9 @@
 // outside the timed region): a cold ifa() re-solves Table 4 and Table 5
 // for every process and closes Table 7/8 from scratch; a one-expression
 // edit against a warm ProcessArtifactTable re-solves exactly one process
-// and recomposes (the ROADMAP acceptance number is >= 10x over cold at
-// 256 pipeline stages); an unchanged re-analysis re-solves nothing; and
+// and recomposes (cold and incremental share the bitset Table 5 kill/gen,
+// so the gap is the per-process solve only); an unchanged re-analysis
+// re-solves nothing; and
 // a warm on-disk store serves the whole-design blob, skipping the
 // solvers and the closure entirely — the restart-survival path, whose
 // cost is one bounds-checked decode. Every OneEdit iteration analyzes a

@@ -88,9 +88,11 @@ void BM_Scaling_Pipeline(benchmark::State &State) {
   }
   State.SetComplexityN(Stages);
 }
+// To 1024 stages: the cross-flow aggregates of Table 5 are bitset
+// sweeps, so even the largest point is sub-second cold.
 BENCHMARK(BM_Scaling_Pipeline)
     ->RangeMultiplier(2)
-    ->Range(2, 32)
+    ->Range(2, 1024)
     ->Complexity();
 
 void BM_Scaling_Mesh(benchmark::State &State) {

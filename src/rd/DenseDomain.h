@@ -60,17 +60,8 @@ public:
     return Pairs[I];
   }
 
-  /// Index of \p P, or npos when the pair is outside the domain.
-  static constexpr size_t npos = ~size_t(0);
   /// Heap footprint in bytes (cache byte-budget accounting).
   size_t memoryBytes() const { return Pairs.capacity() * sizeof(DefPair); }
-
-  size_t indexOf(DefPair P) const {
-    auto It = std::lower_bound(Pairs.begin(), Pairs.end(), P);
-    if (It == Pairs.end() || !(*It == P))
-      return npos;
-    return static_cast<size_t>(It - Pairs.begin());
-  }
 
   /// The contiguous index range [First, Last) of pairs whose resource is
   /// \p N (possibly empty).
@@ -89,10 +80,23 @@ public:
   /// the domain are dropped — sound for kill masks, since a pair no gen
   /// or initial set produces can never be present.
   void maskInto(const PairSet &S, uint64_t *Row) const {
+    // Both sides are sorted, so each lookup resumes where the previous
+    // one stopped: a linear walk when S is dense in the domain, a binary
+    // search over the rest when it is sparse.
+    bool Walk = S.size() * 8 >= Pairs.size();
+    auto It = Pairs.begin(), End = Pairs.end();
     for (const DefPair &P : S) {
-      size_t I = indexOf(P);
-      if (I != npos)
+      if (Walk)
+        while (It != End && *It < P)
+          ++It;
+      else
+        It = std::lower_bound(It, End, P);
+      if (It == End)
+        return;
+      if (*It == P) {
+        size_t I = static_cast<size_t>(It - Pairs.begin());
         Row[I >> 6] |= uint64_t(1) << (I & 63);
+      }
     }
   }
 
@@ -148,6 +152,21 @@ public:
       S.Cached = std::make_unique<PairSet>(
           S.Dom ? S.Dom->materialize(S.Mat->row(S.Row)) : PairSet());
     return *S.Cached;
+  }
+
+  /// Calls \p F(DefPair) for every pair in slot \p L, ascending, straight
+  /// off the dense row (or the eager set). Never materializes, so unlike
+  /// operator[] it is safe from concurrent readers.
+  template <typename Fn> void forEachPair(size_t L, Fn F) const {
+    assert(L < Slots.size() && "label out of range");
+    const Slot &S = Slots[L];
+    if (S.Dom) {
+      BitMatrix::forEachBit(S.Mat->row(S.Row), (S.Dom->size() + 63) / 64,
+                            [&](size_t I) { F(S.Dom->pair(I)); });
+    } else if (S.Cached) {
+      for (const DefPair &P : *S.Cached)
+        F(P);
+    }
   }
 
   /// Dense-path query: calls \p F(DefLabel) for every (N, DefLabel) in

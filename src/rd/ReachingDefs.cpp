@@ -10,9 +10,10 @@
 #include "support/Casting.h"
 #include "support/Parallel.h"
 
+#include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
+#include <unordered_map>
 
 using namespace vif;
 
@@ -25,124 +26,56 @@ PairSet ReachingDefsResult::atProcessEnd(const ProcessCFG &P) const {
 
 namespace {
 
-/// Sorted signal-id sets with the usual operations; used for the factored
-/// cf quantifications.
-using SigSet = std::set<unsigned>;
-
-SigSet signalsOf(const PairSet &S) {
-  SigSet Result;
-  for (Resource R : S.firstComponents())
-    if (R.isSignal())
-      Result.insert(R.id());
-  return Result;
+/// Sets the id bit of every signal with a pair in slot \p L of \p T into
+/// \p Out, straight off the dense row (no materialization, so processes
+/// may run this concurrently).
+void addSignalsOf(const LazyPairSets &T, LabelId L, BitSet &Out) {
+  T.forEachPair(L, [&](DefPair P) {
+    if (P.N.isSignal())
+      Out.set(P.N.id());
+  });
 }
 
-SigSet unionOf(const SigSet &A, const SigSet &B) {
-  SigSet R = A;
-  R.insert(B.begin(), B.end());
-  return R;
-}
-
-SigSet intersectOf(const SigSet &A, const SigSet &B) {
-  SigSet R;
-  for (unsigned X : A)
-    if (B.count(X))
-      R.insert(X);
-  return R;
-}
-
-/// The cf quantifications at a wait label l of process i:
-///
-///   may(l)  = ⋃_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∪ϕentry(l_j))
-///   must(l) = ⋂˙_{tuples (l_1..l_n) ∈ cf, l_i = l} ⋃_j fst(RD∩ϕentry(l_j))
-///
-/// Factored: tuple components range independently over the WS(ss_j), so
-///   may(l)  = may_i(l) ∪ ⋃_{j≠i} ⋃_{l'∈WS_j} may_j(l')
-///   must(l) = must_i(l) ∪ ⋃_{j≠i} ⋂_{l'∈WS_j} must_j(l')
-/// (processes without wait statements do not contribute a component).
-struct WaitAggregates {
-  /// ⋃_{l'∈WS_j} fst(RD∪ϕentry(l')) per process j.
-  std::vector<SigSet> MayUnion;
-  /// ⋂_{l'∈WS_j} fst(RD∩ϕentry(l')) per process j.
-  std::vector<SigSet> MustIntersect;
-  /// fst(RD∪ϕentry(l_last)) at the textually last wait of process j — the
-  /// Hsieh-Levitan emulation samples other processes only at this final
-  /// synchronization, losing definitions overwritten before the process
-  /// end (the paper's Section 1 criticism).
-  std::vector<SigSet> MayAtEnd;
-  /// Whether process j has any wait labels.
-  std::vector<bool> HasWaits;
-};
-
-WaitAggregates computeAggregates(const ProgramCFG &CFG,
-                                 const ActiveSignalsResult &Active) {
-  WaitAggregates A;
-  size_t N = CFG.processes().size();
-  A.MayUnion.resize(N);
-  A.MustIntersect.resize(N);
-  A.MayAtEnd.resize(N);
-  A.HasWaits.resize(N, false);
-  for (const ProcessCFG &P : CFG.processes()) {
-    bool First = true;
-    for (LabelId L : P.WaitLabels) {
-      A.HasWaits[P.ProcessId] = true;
-      SigSet May = signalsOf(Active.MayEntry[L]);
-      SigSet Must = signalsOf(Active.MustEntry[L]);
-      A.MayUnion[P.ProcessId] =
-          unionOf(A.MayUnion[P.ProcessId], May);
-      A.MustIntersect[P.ProcessId] =
-          First ? Must : intersectOf(A.MustIntersect[P.ProcessId], Must);
-      First = false;
-    }
-    if (!P.WaitLabels.empty())
-      A.MayAtEnd[P.ProcessId] =
-          signalsOf(Active.MayEntry[P.WaitLabels.back()]);
+/// For each I: the union of Per[J] over every J != I, by a suffix sweep
+/// followed by a running prefix — O(P * S / 64) instead of P^2 unions.
+std::vector<BitSet> othersUnion(const std::vector<BitSet> &Per,
+                                size_t NumSignals) {
+  size_t N = Per.size();
+  std::vector<BitSet> Out(N, BitSet(NumSignals));
+  for (size_t J = N; J-- > 1;) {
+    Out[J - 1] = Out[J];
+    Out[J - 1].unionWith(Per[J]);
   }
-  return A;
-}
-
-SigSet factoredMay(const ProgramCFG &CFG, const ActiveSignalsResult &Active,
-                   const WaitAggregates &Agg, LabelId L,
-                   bool HsiehLevitan) {
-  unsigned I = CFG.processOf(L);
-  SigSet Result = signalsOf(Active.MayEntry[L]);
-  for (size_t J = 0; J < Agg.MayUnion.size(); ++J)
-    if (J != I && Agg.HasWaits[J])
-      Result = unionOf(Result,
-                       HsiehLevitan ? Agg.MayAtEnd[J] : Agg.MayUnion[J]);
-  return Result;
-}
-
-SigSet factoredMust(const ProgramCFG &CFG, const ActiveSignalsResult &Active,
-                    const WaitAggregates &Agg, LabelId L) {
-  unsigned I = CFG.processOf(L);
-  SigSet Result = signalsOf(Active.MustEntry[L]);
-  for (size_t J = 0; J < Agg.MustIntersect.size(); ++J)
-    if (J != I && Agg.HasWaits[J])
-      Result = unionOf(Result, Agg.MustIntersect[J]);
-  return Result;
+  BitSet Prefix(NumSignals);
+  for (size_t I = 0; I < N; ++I) {
+    Out[I].unionWith(Prefix);
+    Prefix.unionWith(Per[I]);
+  }
+  return Out;
 }
 
 /// Reference implementation by explicit tuple enumeration (validation).
 void enumeratedMayMust(const ProgramCFG &CFG,
                        const ActiveSignalsResult &Active, LabelId L,
-                       SigSet &May, SigSet &Must) {
-  May.clear();
-  Must.clear();
+                       BitSet &May, BitSet &Must) {
+  May.clearAll();
+  Must.clearAll();
   bool FirstTuple = true;
+  BitSet TupleMay(May.size()), TupleMust(Must.size());
   for (const std::vector<LabelId> &Tuple : CFG.crossFlowTuples()) {
-    bool ThroughL = false;
-    for (LabelId T : Tuple)
-      ThroughL |= T == L;
-    if (!ThroughL)
+    if (std::find(Tuple.begin(), Tuple.end(), L) == Tuple.end())
       continue;
-    SigSet TupleMay, TupleMust;
+    TupleMay.clearAll();
+    TupleMust.clearAll();
     for (LabelId T : Tuple) {
-      TupleMay = unionOf(TupleMay, signalsOf(Active.MayEntry[T]));
-      TupleMust = unionOf(TupleMust, signalsOf(Active.MustEntry[T]));
+      addSignalsOf(Active.MayEntry, T, TupleMay);
+      addSignalsOf(Active.MustEntry, T, TupleMust);
     }
-    May = unionOf(May, TupleMay);
-    Must = FirstTuple ? TupleMust : intersectOf(Must, TupleMust);
+    May.unionWith(TupleMay);
+    if (FirstTuple)
+      Must = TupleMust;
+    else
+      Must.intersectWith(TupleMust);
     FirstTuple = false;
   }
   // ⋂˙ over an empty family is ∅ — May/Must stay empty if no tuple passes
@@ -151,69 +84,125 @@ void enumeratedMayMust(const ProgramCFG &CFG,
 
 } // namespace
 
+CrossFlowAggregates
+vif::computeCrossFlowAggregates(const ProgramCFG &CFG,
+                                const ActiveSignalsResult &Active,
+                                bool HsiehLevitan) {
+  // Only signal assignments generate active pairs (Table 4), so their
+  // targets bound the signal ids any aggregate can hold.
+  size_t NumSignals = 0;
+  for (LabelId L = 1; L <= CFG.numLabels(); ++L)
+    if (CFG.block(L).K == CFGBlock::Kind::SignalAssign)
+      NumSignals = std::max<size_t>(
+          NumSignals,
+          cast<SignalAssignStmt>(CFG.block(L).S)->targetRef().Id + 1);
+
+  // Per process j: ⋃ resp. ⋂ over WS_j, and (Hsieh-Levitan) the may set
+  // at the textually last wait only. Waitless processes keep ∅ in all
+  // three, so they drop out of the others' unions.
+  size_t NumProcs = CFG.processes().size();
+  std::vector<BitSet> MayUnion(NumProcs, BitSet(NumSignals));
+  std::vector<BitSet> MustIntersect(NumProcs, BitSet(NumSignals));
+  std::vector<BitSet> MayAtEnd(NumProcs, BitSet(NumSignals));
+  BitSet Must(NumSignals);
+  for (const ProcessCFG &P : CFG.processes()) {
+    unsigned Pid = P.ProcessId;
+    for (LabelId L : P.WaitLabels) {
+      addSignalsOf(Active.MayEntry, L, MayUnion[Pid]);
+      Must.clearAll();
+      addSignalsOf(Active.MustEntry, L, Must);
+      if (L == P.WaitLabels.front())
+        MustIntersect[Pid] = Must;
+      else
+        MustIntersect[Pid].intersectWith(Must);
+    }
+    if (!P.WaitLabels.empty())
+      addSignalsOf(Active.MayEntry, P.WaitLabels.back(), MayAtEnd[Pid]);
+  }
+
+  CrossFlowAggregates Agg;
+  Agg.OthersMay = othersUnion(HsiehLevitan ? MayAtEnd : MayUnion, NumSignals);
+  Agg.OthersMust = othersUnion(MustIntersect, NumSignals);
+  return Agg;
+}
+
+void vif::fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                               const ActiveSignalsResult &Active,
+                               const CrossFlowAggregates &Agg,
+                               const ReachingDefsOptions &Opts,
+                               std::vector<PairSet> &Kill,
+                               std::vector<PairSet> &Gen) {
+  // Per-variable definition labels inside this process, ascending.
+  std::unordered_map<unsigned, std::vector<LabelId>> DefsOfVar;
+  for (LabelId L : P.Labels)
+    if (CFG.block(L).K == CFGBlock::Kind::VarAssign)
+      DefsOfVar[cast<VarAssignStmt>(CFG.block(L).S)->targetRef().Id]
+          .push_back(L);
+
+  const BitSet &OthersMay = Agg.OthersMay[P.ProcessId];
+  const BitSet &OthersMust = Agg.OthersMust[P.ProcessId];
+  BitSet May(OthersMay.size()), Must(OthersMust.size());
+  // Every set is appended in DefPair order: resource first, then label.
+  for (LabelId L : P.Labels) {
+    const CFGBlock &B = CFG.block(L);
+    switch (B.K) {
+    case CFGBlock::Kind::VarAssign: {
+      const auto *A = cast<VarAssignStmt>(B.S);
+      Resource Var = Resource::variable(A->targetRef().Id);
+      Gen[L].append(DefPair{Var, L});
+      if (!A->hasSlice()) {
+        Kill[L].append(DefPair{Var, InitialLabel});
+        for (LabelId DefL : DefsOfVar[A->targetRef().Id])
+          Kill[L].append(DefPair{Var, DefL});
+      }
+      break;
+    }
+    case CFGBlock::Kind::Wait: {
+      if (Opts.EnumerateCrossFlowTuples) {
+        enumeratedMayMust(CFG, Active, L, May, Must);
+      } else {
+        May = OthersMay;
+        Must = OthersMust;
+        addSignalsOf(Active.MayEntry, L, May);
+        addSignalsOf(Active.MustEntry, L, Must);
+      }
+      May.forEach([&](size_t Sig) {
+        Gen[L].append(DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
+      });
+      if (Opts.UseMustActiveKill) {
+        // wS(ss_i): the labels where a present signal value can be
+        // defined within process i — the initial "?" plus its waits.
+        Must.forEach([&](size_t Sig) {
+          Resource S = Resource::signal(static_cast<unsigned>(Sig));
+          Kill[L].append(DefPair{S, InitialLabel});
+          for (LabelId DefL : P.WaitLabels)
+            Kill[L].append(DefPair{S, DefL});
+        });
+      }
+      break;
+    }
+    case CFGBlock::Kind::Null:
+    case CFGBlock::Kind::SignalAssign:
+    case CFGBlock::Kind::Cond:
+      break;
+    }
+  }
+}
+
 ReachingDefsKillGen
 vif::computeReachingDefsKillGen(const ProgramCFG &CFG,
                                 const ActiveSignalsResult &Active,
                                 const ReachingDefsOptions &Opts) {
-  size_t NumLabels = CFG.numLabels();
-  WaitAggregates Agg = computeAggregates(CFG, Active);
+  CrossFlowAggregates Agg =
+      computeCrossFlowAggregates(CFG, Active, Opts.HsiehLevitanCrossFlow);
   ReachingDefsKillGen KG;
-  std::vector<PairSet> &Kill = KG.Kill, &Gen = KG.Gen;
-  Kill.resize(NumLabels + 1);
-  Gen.resize(NumLabels + 1);
-  for (const ProcessCFG &P : CFG.processes()) {
-    // Per-variable definitions inside this process.
-    std::map<unsigned, PairSet> DefsOfVar;
-    for (LabelId L : P.Labels) {
-      const CFGBlock &B = CFG.block(L);
-      if (B.K != CFGBlock::Kind::VarAssign)
-        continue;
-      const auto *A = cast<VarAssignStmt>(B.S);
-      DefsOfVar[A->targetRef().Id].insert(
-          DefPair{Resource::variable(A->targetRef().Id), L});
-    }
-    // wS(ss_i): the labels where a present signal value can be defined
-    // within process i — its wait labels plus the initial "?".
-    std::vector<LabelId> PresentDefLabels = P.WaitLabels;
-    PresentDefLabels.push_back(InitialLabel);
-
-    for (LabelId L : P.Labels) {
-      const CFGBlock &B = CFG.block(L);
-      switch (B.K) {
-      case CFGBlock::Kind::VarAssign: {
-        const auto *A = cast<VarAssignStmt>(B.S);
-        unsigned Var = A->targetRef().Id;
-        Gen[L].insert(DefPair{Resource::variable(Var), L});
-        if (!A->hasSlice()) {
-          Kill[L] = DefsOfVar[Var];
-          Kill[L].insert(DefPair{Resource::variable(Var), InitialLabel});
-        }
-        break;
-      }
-      case CFGBlock::Kind::Wait: {
-        SigSet May, Must;
-        if (Opts.EnumerateCrossFlowTuples) {
-          enumeratedMayMust(CFG, Active, L, May, Must);
-        } else {
-          May = factoredMay(CFG, Active, Agg, L,
-                            Opts.HsiehLevitanCrossFlow);
-          Must = factoredMust(CFG, Active, Agg, L);
-        }
-        for (unsigned Sig : May)
-          Gen[L].insert(DefPair{Resource::signal(Sig), L});
-        if (Opts.UseMustActiveKill)
-          for (unsigned Sig : Must)
-            for (LabelId DefL : PresentDefLabels)
-              Kill[L].insert(DefPair{Resource::signal(Sig), DefL});
-        break;
-      }
-      case CFGBlock::Kind::Null:
-      case CFGBlock::Kind::SignalAssign:
-      case CFGBlock::Kind::Cond:
-        break;
-      }
-    }
-  }
+  KG.Kill.resize(CFG.numLabels() + 1);
+  KG.Gen.resize(CFG.numLabels() + 1);
+  // Each process writes only its own label slots.
+  parallelFor(Opts.Jobs, CFG.processes().size(), [&](size_t PI) {
+    fillProcessRdKillGen(CFG, CFG.processes()[PI], Active, Agg, Opts, KG.Kill,
+                         KG.Gen);
+  });
   return KG;
 }
 

@@ -21,8 +21,14 @@
 ///  * entry of init(ss_i) is {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
 ///
 /// The quantifications over cf tuples are computed in factored form (the
-/// tuple components range independently, see cfg/CFG.h); the explicit
-/// product definition is also implemented for validation on small programs.
+/// tuple components range independently, see cfg/CFG.h): per process, the
+/// union of every *other* process's wait aggregates, as signal-id bitsets
+/// built by one suffix and one prefix sweep — O(P * S / 64) words for P
+/// processes and S signals. The cold path (computeReachingDefsKillGen)
+/// and the incremental one (rd/Incremental.h) share these aggregates and
+/// the per-process fill.
+/// The explicit product definition is also implemented for validation on
+/// small programs (EnumerateCrossFlowTuples).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,6 +118,38 @@ ReachingDefsKillGen
 computeReachingDefsKillGen(const ProgramCFG &CFG,
                            const ActiveSignalsResult &Active,
                            const ReachingDefsOptions &Opts = {});
+
+/// The factored cf quantifications at the wait labels of process i,
+///
+///   may(l)  = fst(RD∪ϕentry(l)) ∪ OthersMay[i]
+///   must(l) = fst(RD∩ϕentry(l)) ∪ OthersMust[i]
+///   OthersMay[i]  = ⋃_{j≠i} ⋃_{l'∈WS_j} fst(RD∪ϕentry(l'))
+///   OthersMust[i] = ⋃_{j≠i} ⋂_{l'∈WS_j} fst(RD∩ϕentry(l'))
+///
+/// as signal-id bitsets indexed by ProcessId. Processes without wait
+/// statements do not contribute a component. Under HsiehLevitanCrossFlow
+/// OthersMay samples each other process at its textually last wait only,
+/// losing definitions overwritten before the process end (the paper's
+/// Section 1 criticism).
+struct CrossFlowAggregates {
+  std::vector<BitSet> OthersMay, OthersMust;
+};
+
+/// Builds the aggregates from \p Active's wait-entry rows (read densely,
+/// never materialized).
+CrossFlowAggregates computeCrossFlowAggregates(const ProgramCFG &CFG,
+                                               const ActiveSignalsResult &Active,
+                                               bool HsiehLevitan);
+
+/// Fills the Table 5 kill/gen slots of process \p P's labels into the
+/// whole-program vectors (which must span all labels; only \p P's slots
+/// are written, so processes may be filled concurrently).
+void fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                          const ActiveSignalsResult &Active,
+                          const CrossFlowAggregates &Agg,
+                          const ReachingDefsOptions &Opts,
+                          std::vector<PairSet> &Kill,
+                          std::vector<PairSet> &Gen);
 
 /// One process's dense Table 5 solution — the unit the incremental layer
 /// caches and recomposes whole-program results from. Rows are indexed by

@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "parse/Parser.h"
+#include "rd/Incremental.h"
 #include "rd/ReachingDefs.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 using namespace vif;
 
@@ -310,6 +313,154 @@ TEST(ReachingDefs, FactoredEqualsEnumeratedOnRandomDesigns) {
           << "seed " << Seed << " exit at " << L;
     }
   }
+}
+
+/// The signal ids with a pair in \p S (fst restricted to signals).
+std::set<unsigned> signalsIn(const PairSet &S) {
+  std::set<unsigned> Out;
+  for (const DefPair &D : S)
+    if (D.N.isSignal())
+      Out.insert(D.N.id());
+  return Out;
+}
+
+TEST(ReachingDefs, HsiehLevitanKillGenMatchesBruteForce) {
+  // ABL-HL samples every *other* process at its last wait only; the
+  // process's own wait entry and the must side stay as in Table 5.
+  Analyzed A = analyzeDesign(workloads::syncMeshDesign(3, 3, 4));
+  ReachingDefsOptions HL;
+  HL.HsiehLevitanCrossFlow = true;
+  ReachingDefsKillGen KG = computeReachingDefsKillGen(A.CFG, A.Active, HL);
+  ReachingDefsKillGen Full = computeReachingDefsKillGen(A.CFG, A.Active);
+
+  bool Narrower = false;
+  for (const ProcessCFG &P : A.CFG.processes()) {
+    for (LabelId L : P.WaitLabels) {
+      std::set<unsigned> May = signalsIn(A.Active.MayEntry[L]);
+      std::set<unsigned> Must = signalsIn(A.Active.MustEntry[L]);
+      for (const ProcessCFG &Q : A.CFG.processes()) {
+        if (Q.ProcessId == P.ProcessId || Q.WaitLabels.empty())
+          continue;
+        for (unsigned S : signalsIn(A.Active.MayEntry[Q.WaitLabels.back()]))
+          May.insert(S);
+        std::set<unsigned> Meet = signalsIn(A.Active.MustEntry[Q.WaitLabels[0]]);
+        for (LabelId W : Q.WaitLabels) {
+          std::set<unsigned> Here = signalsIn(A.Active.MustEntry[W]), Keep;
+          for (unsigned S : Meet)
+            if (Here.count(S))
+              Keep.insert(S);
+          Meet = Keep;
+        }
+        Must.insert(Meet.begin(), Meet.end());
+      }
+      PairSet Gen, Kill;
+      for (unsigned S : May)
+        Gen.insert(DefPair{Resource::signal(S), L});
+      for (unsigned S : Must) {
+        Kill.insert(DefPair{Resource::signal(S), InitialLabel});
+        for (LabelId W : P.WaitLabels)
+          Kill.insert(DefPair{Resource::signal(S), W});
+      }
+      EXPECT_TRUE(KG.Gen[L] == Gen) << "gen at " << L;
+      EXPECT_TRUE(KG.Kill[L] == Kill) << "kill at " << L;
+      EXPECT_TRUE(KG.Kill[L] == Full.Kill[L]) << "HL changed kill at " << L;
+      Narrower |= KG.Gen[L].size() < Full.Gen[L].size();
+    }
+  }
+  // The design must actually tell the two cross-flow modes apart.
+  EXPECT_TRUE(Narrower);
+}
+
+TEST(ReachingDefs, WaitlessProcessesContributeNothingToCrossFlow) {
+  // p0 never synchronizes, so u (driven only there) is never defined at
+  // another process's wait; the concurrent assignments are wait-ended
+  // processes and do contribute their active targets.
+  Analyzed A = analyzeDesign(R"(
+    entity e is port(clk : in std_logic; a : in std_logic;
+                     q : out std_logic); end e;
+    architecture rtl of e is
+      signal s, t, u : std_logic;
+    begin
+      p0 : process begin u <= a; s <= a; end process p0;
+      p1 : process begin s <= clk; wait on clk; end process p1;
+      t <= '1';
+      q <= s;
+    end rtl;)");
+  const ProcessCFG &P0 = A.CFG.process(0);
+  const ProcessCFG &P1 = A.CFG.process(1);
+  ASSERT_TRUE(P0.WaitLabels.empty());
+  ASSERT_EQ(P1.WaitLabels.size(), 1u);
+  LabelId W = P1.WaitLabels[0];
+  ReachingDefsKillGen KG = computeReachingDefsKillGen(A.CFG, A.Active);
+  std::set<unsigned> Defined;
+  for (const DefPair &D : KG.Gen[W])
+    Defined.insert(D.N.id());
+  EXPECT_EQ(Defined.count(sigId(A.Program, "u")), 0u);
+  EXPECT_EQ(Defined.count(sigId(A.Program, "s")), 1u);
+  EXPECT_EQ(Defined.count(sigId(A.Program, "t")), 1u);
+  EXPECT_EQ(Defined.count(sigId(A.Program, "q")), 1u);
+
+  ReachingDefsOptions Enum;
+  Enum.EnumerateCrossFlowTuples = true;
+  for (bool MustKill : {true, false}) {
+    ReachingDefsOptions Fact;
+    Fact.UseMustActiveKill = Enum.UseMustActiveKill = MustKill;
+    ReachingDefsKillGen F = computeReachingDefsKillGen(A.CFG, A.Active, Fact);
+    ReachingDefsKillGen E = computeReachingDefsKillGen(A.CFG, A.Active, Enum);
+    for (LabelId L = 1; L <= A.CFG.numLabels(); ++L) {
+      EXPECT_TRUE(F.Gen[L] == E.Gen[L]) << "gen at " << L;
+      EXPECT_TRUE(F.Kill[L] == E.Kill[L]) << "kill at " << L;
+    }
+  }
+}
+
+/// Table 5 through analyzeIncremental over \p Table must equal the cold
+/// solver label by label; returns how many processes it re-solved.
+size_t expectIncrementalMatchesCold(const std::string &Source,
+                                    ProcessArtifactTable &Table) {
+  Analyzed Cold = analyzeDesign(Source);
+  ActiveSignalsResult Act;
+  ReachingDefsResult RD;
+  IncrementalStats Stats;
+  EXPECT_TRUE(
+      analyzeIncremental(Cold.Program, Cold.CFG, {}, Table, Act, RD, &Stats));
+  EXPECT_EQ(RD.Iterations, Cold.RD.Iterations);
+  for (LabelId L = 1; L <= Cold.CFG.numLabels(); ++L) {
+    EXPECT_TRUE(RD.Entry[L] == Cold.RD.Entry[L]) << "entry at " << L;
+    EXPECT_TRUE(RD.Exit[L] == Cold.RD.Exit[L]) << "exit at " << L;
+  }
+  return Stats.RdSolved;
+}
+
+TEST(ReachingDefs, IncrementalEqualsColdOnPipeline) {
+  std::string Source = workloads::pipelineDesign(64);
+  ProcessArtifactTable Table;
+  EXPECT_EQ(expectIncrementalMatchesCold(Source, Table), 64u);
+  size_t At = Source.find("s_10 <= s_9;");
+  ASSERT_NE(At, std::string::npos);
+  Source.replace(At, 12, "s_10 <= not s_9;");
+  EXPECT_EQ(expectIncrementalMatchesCold(Source, Table), 1u);
+}
+
+TEST(ReachingDefs, IncrementalEqualsColdOnRandomDesigns) {
+  unsigned Edited = 0;
+  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::string Source = workloads::randomDesign(Seed, 4, 8, 4);
+    ProcessArtifactTable Table;
+    // Four processes plus the concurrent dout driver.
+    EXPECT_EQ(expectIncrementalMatchesCold(Source, Table), 5u);
+    // Flip the first literal in p_1's body: only that process's
+    // expressions change (active sets, hence the others' keys, do not).
+    size_t Body = Source.find("begin", Source.find("p_1 : process"));
+    size_t Quote = Source.find('\'', Body);
+    if (Quote > Source.find("end process p_1"))
+      continue; // no literal in p_1
+    Source[Quote + 1] = Source[Quote + 1] == '0' ? '1' : '0';
+    EXPECT_EQ(expectIncrementalMatchesCold(Source, Table), 1u);
+    ++Edited;
+  }
+  EXPECT_GT(Edited, 0u);
 }
 
 TEST(ReachingDefs, AtProcessEnd) {

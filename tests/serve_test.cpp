@@ -493,6 +493,62 @@ TEST(Serve, FdTransportOverSocketpair) {
   EXPECT_EQ(str(Docs[2], "command"), "shutdown");
 }
 
+TEST(Serve, FdTransportAnswersPipelinedAndLongLinesInOrder) {
+  // 1000 pings in one write, then one ~4 MiB line (a ping padded with
+  // JSON whitespace): every line is answered, in order. Line splitting
+  // resumes its scan where the previous read stopped, so the long line
+  // costs one pass, not one rescan per 4 KiB read.
+  int Fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Fds), 0);
+  std::string Payload;
+  for (int Id = 1; Id <= 1000; ++Id)
+    Payload += R"({"schema":"vifc.v1","id":)" + std::to_string(Id) +
+               R"(,"command":"ping"})" + "\n";
+  Payload += R"({"schema":"vifc.v1","id":1001,"command":"ping")" +
+             std::string(size_t(4) << 20, ' ') + "}\n";
+
+  // The writer and the reader run beside the server: the socket buffers
+  // hold far less than the payload or its responses.
+  std::thread Writer([&] {
+    size_t Off = 0;
+    while (Off < Payload.size()) {
+      ssize_t W = ::write(Fds[1], Payload.data() + Off, Payload.size() - Off);
+      if (W <= 0)
+        break;
+      Off += static_cast<size_t>(W);
+    }
+    ::shutdown(Fds[1], SHUT_WR);
+  });
+  std::string Out;
+  std::thread Reader([&] {
+    char Buf[65536];
+    ssize_t N;
+    while ((N = ::read(Fds[1], Buf, sizeof(Buf))) > 0)
+      Out.append(Buf, static_cast<size_t>(N));
+  });
+  Server S;
+  std::string Error;
+  EXPECT_TRUE(S.serveFd(Fds[0], &Error)) << Error;
+  Writer.join();
+  ::shutdown(Fds[0], SHUT_WR);
+  Reader.join();
+  ::close(Fds[0]);
+  ::close(Fds[1]);
+
+  std::istringstream Lines(Out);
+  std::string Line;
+  int Expected = 1;
+  while (std::getline(Lines, Line)) {
+    JsonValue Doc = parseResponse(Line);
+    EXPECT_EQ(str(Doc, "status"), "ok") << Line;
+    ASSERT_NE(Doc.find("id"), nullptr) << Line;
+    EXPECT_EQ(Doc.find("id")->asNumber(), Expected);
+    ++Expected;
+  }
+  EXPECT_EQ(Expected, 1002);
+  EXPECT_EQ(S.requestsHandled(), 1001u);
+}
+
 TEST(Serve, ConcurrentGeneratedDesignsMatchSerialReplay) {
   // N generated designs, analyzed once serially for the expected flow
   // edges, then pushed through one shared SessionCache from several

@@ -18,7 +18,10 @@
 /// (5) BitSet closure == IFAOptions::ReferenceClosure, (6) sorted-run
 /// ResourceMatrix == ReferenceResourceMatrix under shuffled replay,
 /// (7) Digraph::transitiveClosure == DFS reachability on the flow graph,
-/// (8) determinism: regeneration and reanalysis are byte/set identical.
+/// (8) determinism: regeneration and reanalysis are byte/set identical,
+/// (9) the factored Table 5 kill/gen == explicit cf-tuple enumeration, for
+/// both UseMustActiveKill values (designs with more than
+/// MaxEnumeratedTuples cf tuples skip this leg and are counted).
 ///
 /// Query mode, per seed: build a FlowQueryEngine over the improved flow
 /// graph and check it against first-principles graph walks — reaches()
@@ -143,11 +146,27 @@ std::vector<RMEntry> entriesOf(const ResourceMatrix &RM) {
   return std::vector<RMEntry>(RM.begin(), RM.end());
 }
 
+/// The largest cf relation (9) enumerates; |cf| is the product of the
+/// waiting processes' wait counts, so it grows exponentially.
+constexpr size_t MaxEnumeratedTuples = 4096;
+
+/// |cf|, saturated just above MaxEnumeratedTuples.
+size_t crossFlowTupleCount(const ProgramCFG &CFG) {
+  size_t Count = 0;
+  for (const ProcessCFG &P : CFG.processes())
+    if (!P.WaitLabels.empty())
+      Count = std::min(MaxEnumeratedTuples + 1,
+                       std::max<size_t>(Count, 1) * P.WaitLabels.size());
+  return Count;
+}
+
 /// Runs the whole oracle battery on \p Source. Returns an empty string on
 /// agreement, a description of the first disagreement otherwise. This is
 /// also the minimizer predicate for oracle failures, so it must depend on
-/// nothing but the source text.
-std::string oracleFailure(const std::string &Source) {
+/// nothing but the source text. \p KillGenSkipped, when given, reports
+/// whether leg (9) was skipped for too many cf tuples.
+std::string oracleFailure(const std::string &Source,
+                          bool *KillGenSkipped = nullptr) {
   std::string Err;
   std::optional<ElaboratedProgram> P = frontend(Source, Err);
   if (!P)
@@ -272,6 +291,25 @@ std::string oracleFailure(const std::string &Source) {
     if (!(Again.RMgl == IfaImproved.RMgl) ||
         Again.Graph.sortedEdges() != IfaImproved.Graph.sortedEdges())
       return "re-analysis is not deterministic";
+  }
+
+  // (9) factored kill/gen vs explicit cf-tuple enumeration.
+  bool Skip = crossFlowTupleCount(CFG) > MaxEnumeratedTuples;
+  if (KillGenSkipped)
+    *KillGenSkipped = Skip;
+  if (Skip)
+    return "";
+  for (bool MustKill : {true, false}) {
+    ReachingDefsOptions Fact, Enum;
+    Fact.UseMustActiveKill = Enum.UseMustActiveKill = MustKill;
+    Enum.EnumerateCrossFlowTuples = true;
+    ReachingDefsKillGen F = computeReachingDefsKillGen(CFG, Dense, Fact);
+    ReachingDefsKillGen E = computeReachingDefsKillGen(CFG, Dense, Enum);
+    for (LabelId L = 1; L <= CFG.numLabels(); ++L)
+      if (!(F.Kill[L] == E.Kill[L]) || !(F.Gen[L] == E.Gen[L]))
+        return std::string("factored kill/gen differs from cf enumeration "
+                           "(mustKill=") +
+               (MustKill ? "1" : "0") + ") at label " + std::to_string(L);
   }
   return "";
 }
@@ -572,7 +610,7 @@ int main(int argc, char **argv) {
                         Opts.M == Options::Mode::All;
   unsigned Failures = 0;
   uint64_t OracleRuns = 0, QueryRuns = 0, MutantRuns = 0,
-           IncrementalRuns = 0;
+           IncrementalRuns = 0, KillGenSkipped = 0;
   // Shared across seeds so cross-design artifact reuse is fuzzed too;
   // content-hashed keys make false sharing a reportable failure.
   ProcessArtifactTable SharedTable;
@@ -596,7 +634,9 @@ int main(int argc, char **argv) {
     }
     if (RunOracle) {
       ++OracleRuns;
-      std::string What = oracleFailure(Source);
+      bool Skipped = false;
+      std::string What = oracleFailure(Source, &Skipped);
+      KillGenSkipped += Skipped;
       if (!What.empty()) {
         ++Failures;
         reportFailure(Seed, What, Source, Opts, [](const std::string &S) {
@@ -657,7 +697,9 @@ int main(int argc, char **argv) {
     }
   }
 
-  std::cout << "vifc-fuzz: " << OracleRuns << " oracle seeds, " << QueryRuns
+  std::cout << "vifc-fuzz: " << OracleRuns << " oracle seeds ("
+            << KillGenSkipped << " over " << MaxEnumeratedTuples
+            << " cf tuples skipped kill/gen enumeration), " << QueryRuns
             << " query seeds, " << IncrementalRuns << " incremental seeds, "
             << MutantRuns << " mutants, " << Failures << " failure(s)\n";
   return Failures ? 1 : 0;
