@@ -29,8 +29,10 @@ const char *ProgramB = "b := a; c := b;";
 void printGraph(std::FILE *Out, const char *Title, const Digraph &G) {
   std::fprintf(Out, "  %s: %zu nodes, %zu edges:", Title, G.numNodes(),
               G.numEdges());
-  for (const auto &[From, To] : G.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  G.forEachSortedEdge([Out](std::string_view From, std::string_view To) {
+    std::fprintf(Out, "  %.*s->%.*s", static_cast<int>(From.size()),
+                 From.data(), static_cast<int>(To.size()), To.data());
+  });
   std::fprintf(Out, "\n");
 }
 

@@ -32,8 +32,10 @@ void regenerateFigure(std::FILE *Out) {
 
   IFAResult Plain = analyzeInformationFlow(P, CFG);
   std::fprintf(Out, "Figure 4(a) — basic graph:");
-  for (const auto &[From, To] : Plain.Graph.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  Plain.Graph.forEachSortedEdge([Out](std::string_view From, std::string_view To) {
+    std::fprintf(Out, "  %.*s->%.*s", static_cast<int>(From.size()),
+                 From.data(), static_cast<int>(To.size()), To.data());
+  });
   std::fprintf(Out, "\n");
 
   IFAOptions Opts;
@@ -42,8 +44,10 @@ void regenerateFigure(std::FILE *Out) {
   Digraph Interface = Improved.interfaceGraph();
   std::fprintf(Out, "Figure 4(b) — interface graph (%zu nodes):",
               Interface.numNodes());
-  for (const auto &[From, To] : Interface.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  Interface.forEachSortedEdge([Out](std::string_view From, std::string_view To) {
+    std::fprintf(Out, "  %.*s->%.*s", static_cast<int>(From.size()),
+                 From.data(), static_cast<int>(To.size()), To.data());
+  });
   std::fprintf(Out, "\n");
   std::fprintf(Out, "b-initial leaks to c: %s (paper: must be no)\n\n",
               Interface.hasEdge("b◦", "c•") ? "YES (bug!)" : "no");

@@ -57,8 +57,10 @@ void regenerateFigure(std::FILE *Out) {
   std::fprintf(Out, "false positives eliminated: %zu\n",
                BaseState.edgesNotIn(OursState).size());
   std::fprintf(Out, "RD-guided edges:");
-  for (const auto &[From, To] : OursState.sortedEdges())
-    std::fprintf(Out, "  %s->%s", From.c_str(), To.c_str());
+  OursState.forEachSortedEdge([Out](std::string_view From, std::string_view To) {
+    std::fprintf(Out, "  %.*s->%.*s", static_cast<int>(From.size()),
+                 From.data(), static_cast<int>(To.size()), To.data());
+  });
   std::fprintf(Out, "\n\n");
 }
 

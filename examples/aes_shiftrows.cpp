@@ -85,8 +85,9 @@ int main(int Argc, char **Argv) {
   std::cout << "RD-guided analysis: " << OursMerged.numEdges()
             << " edges between state bytes\n\n";
   std::cout << "RD-guided flows (expected: row r rotated left by r):\n";
-  for (const auto &[From, To] : OursMerged.sortedEdges())
+  OursMerged.forEachSortedEdge([](std::string_view From, std::string_view To) {
     std::cout << "  " << From << " -> " << To << '\n';
+  });
   std::cout << "\nKemmerer false positives: "
             << BaseState.edgesNotIn(OursMerged).size() << " spurious edges"
             << " (cross-row flows through the reused temporaries)\n";

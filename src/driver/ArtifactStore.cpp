@@ -38,30 +38,6 @@ std::string hex16(uint64_t V) {
   return Buf;
 }
 
-/// Frames tagged sections inside a blob payload, mirroring the v1b frame
-/// discipline: four ASCII tag chars, then the u64-length-prefixed body.
-/// tools/schema_check.py pins every tag handed to section() against
-/// docs/SCHEMA.md, exactly as it pins the v1b section tags.
-class SectionFramer {
-public:
-  void section(const char (&Tag)[5], std::string_view Body) {
-    W.bytes(Tag, 4);
-    W.str(Body);
-  }
-  std::string take() { return W.take(); }
-
-private:
-  ByteWriter W;
-};
-
-bool readSection(ByteReader &R, const char (&Tag)[5],
-                 std::string_view &Body) {
-  char T[4];
-  R.bytes(T, 4);
-  Body = R.str();
-  return R.ok() && std::memcmp(T, Tag, 4) == 0;
-}
-
 std::string encodeMatrix(const ResourceMatrix &M) {
   ByteWriter W;
   W.u64(M.size());
@@ -230,11 +206,11 @@ void ArtifactStore::store(const char (&Kind)[5], uint64_t Key,
 //===----------------------------------------------------------------------===//
 
 std::string vif::driver::encodeDesignArtifact(const IFAResult &R) {
-  SectionFramer F;
-  F.section("RMLO", encodeMatrix(R.RMlo));
-  F.section("RMGL", encodeMatrix(R.RMgl));
-  F.section("GRPH", encodeGraph(R.Graph));
-  return F.take();
+  ByteWriter W;
+  W.section("RMLO", encodeMatrix(R.RMlo));
+  W.section("RMGL", encodeMatrix(R.RMgl));
+  W.section("GRPH", encodeGraph(R.Graph));
+  return W.take();
 }
 
 bool vif::driver::decodeDesignArtifact(std::string_view Payload,
@@ -243,8 +219,8 @@ bool vif::driver::decodeDesignArtifact(std::string_view Payload,
                                        Digraph &Graph) {
   ByteReader R(Payload);
   std::string_view Lo, Gl, Gr;
-  if (!readSection(R, "RMLO", Lo) || !readSection(R, "RMGL", Gl) ||
-      !readSection(R, "GRPH", Gr) || !R.atEnd())
+  if (R.section(Lo) != "RMLO" || R.section(Gl) != "RMGL" ||
+      R.section(Gr) != "GRPH" || !R.atEnd())
     return false;
   return decodeMatrix(Lo, RMlo) && decodeMatrix(Gl, RMgl) &&
          decodeGraph(Gr, Graph);
@@ -271,9 +247,9 @@ std::string vif::driver::encodeQueryIndex(const query::FlowQueryEngine &E) {
   W.u64(E.succList().size());
   for (Digraph::NodeId S : E.succList())
     W.u32(S);
-  SectionFramer F;
-  F.section("QIDX", W.take());
-  return F.take();
+  ByteWriter Blob;
+  Blob.section("QIDX", W.data());
+  return Blob.take();
 }
 
 std::optional<query::FlowQueryEngine>
@@ -281,7 +257,7 @@ vif::driver::decodeQueryIndex(std::string_view Payload,
                               const Digraph &Graph) {
   ByteReader Outer(Payload);
   std::string_view Body;
-  if (!readSection(Outer, "QIDX", Body) || !Outer.atEnd())
+  if (Outer.section(Body) != "QIDX" || !Outer.atEnd())
     return std::nullopt;
   ByteReader R(Body);
   uint64_t N = R.u64();

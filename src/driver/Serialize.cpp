@@ -7,14 +7,73 @@
 #include "driver/Serialize.h"
 
 #include "driver/ArtifactStore.h"
+#include "support/JsonParse.h"
 
+#include <cmath>
 #include <ostream>
+#include <sstream>
 
 using namespace vif;
 using namespace vif::driver;
 
 void vif::driver::writeSchemaTag(JsonWriter &J) {
   J.member("schema", SchemaVersion);
+}
+
+namespace {
+
+/// The one rendering of a request id: strings escaped, integral numbers
+/// exactly (up to 2^53, the range where a double holds integers), other
+/// numbers through the writer's %.6g formatting.
+void writeIdValue(JsonWriter &J, const JsonValue &Id) {
+  if (Id.isString()) {
+    J.value(Id.asString());
+  } else if (Id.isNumber()) {
+    double N = Id.asNumber();
+    if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
+      J.value(static_cast<long long>(N));
+    else
+      J.value(N);
+  } else {
+    J.null();
+  }
+}
+
+} // namespace
+
+void vif::driver::writeRequestId(JsonWriter &J, const JsonValue *Id) {
+  if (!Id)
+    return;
+  J.key("id");
+  writeIdValue(J, *Id);
+}
+
+std::string vif::driver::requestIdToken(const JsonValue *Id) {
+  if (!Id)
+    return "";
+  // Reused per thread: constructing a stream costs more than rendering a
+  // token, and every v1b serve response with an id renders one.
+  thread_local std::ostringstream OS;
+  OS.str("");
+  {
+    JsonWriter J(OS, JsonStyle::Compact);
+    writeIdValue(J, *Id);
+  }
+  return OS.str();
+}
+
+void vif::driver::writeDesignResponse(JsonWriter &J, const JsonValue *Id,
+                                      const DesignResult &D,
+                                      const BatchOptions &Opts,
+                                      std::string_view ContentKey) {
+  writeSchemaTag(J);
+  writeRequestId(J, Id);
+  J.member("command", batchModeName(Opts.Mode));
+  if (!ContentKey.empty())
+    J.member("contentKey", ContentKey);
+  if (Opts.Mode == BatchMode::Flows)
+    J.member("method", flowMethodName(Opts.Method));
+  writeDesignBody(J, D, Opts);
 }
 
 void vif::driver::writeDesignBody(JsonWriter &J, const DesignResult &D,
@@ -100,18 +159,21 @@ void vif::driver::writeDesignBody(JsonWriter &J, const DesignResult &D,
     J.endArray();
     J.endObject();
   }
+}
+
+void vif::driver::writeTimingsObject(JsonWriter &J, const StageTimings &T) {
   J.key("timings");
   J.beginObject();
-  J.member("readMs", D.Timings.ReadMs);
-  J.member("parseMs", D.Timings.ParseMs);
-  J.member("elaborateMs", D.Timings.ElaborateMs);
-  J.member("cfgMs", D.Timings.CfgMs);
-  J.member("ifaMs", D.Timings.IfaMs);
-  J.member("kemmererMs", D.Timings.KemmererMs);
-  J.member("alfpMs", D.Timings.AlfpMs);
-  J.member("queryMs", D.Timings.QueryMs);
-  J.member("storeMs", D.Timings.StoreMs);
-  J.member("totalMs", D.Timings.totalMs());
+  J.member("readMs", T.ReadMs);
+  J.member("parseMs", T.ParseMs);
+  J.member("elaborateMs", T.ElaborateMs);
+  J.member("cfgMs", T.CfgMs);
+  J.member("ifaMs", T.IfaMs);
+  J.member("kemmererMs", T.KemmererMs);
+  J.member("alfpMs", T.AlfpMs);
+  J.member("queryMs", T.QueryMs);
+  J.member("storeMs", T.StoreMs);
+  J.member("totalMs", T.totalMs());
   J.endObject();
 }
 
@@ -157,6 +219,7 @@ void vif::driver::writeBatchDocument(std::ostream &OS, const BatchResult &R,
   for (const DesignResult &D : R.Designs) {
     J.beginObject();
     writeDesignBody(J, D, Opts);
+    writeTimingsObject(J, D.Timings);
     J.endObject();
   }
   J.endArray();

@@ -5,14 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single place every vifc JSON document is produced. Each document —
-/// batch results (`--json` on check/flows/rm/report), sim and datalog
-/// documents, serve responses and error objects — opens with a
-/// `"schema": "vifc.v1"` member and is specified normatively in
-/// docs/SCHEMA.md; a field emitted here but absent from that spec fails
-/// `tools/schema_check.py`. Commands and the serve loop must route
-/// through these writers instead of hand-rolling JsonWriter calls, so the
-/// wire format can only drift in one reviewable file.
+/// The single place every vifc JSON document shape is defined. Each
+/// document — batch results (`--json` on check/flows/rm/report), sim and
+/// datalog documents, serve responses, error objects and the JSON a v1b
+/// frame decodes to (driver/V1b.h) — opens with a `"schema": "vifc.v1"`
+/// member and is specified normatively in docs/SCHEMA.md; a field emitted here but absent from that spec fails
+/// `tools/schema_check.py`. Commands, the serve loop and the v1b decoder
+/// must build documents from these writers instead of hand-rolling
+/// JsonWriter calls (the serve loop adds only its protocol envelope
+/// members: ping/stats status, request counters, wallMs), so the wire
+/// format can only drift in one reviewable file.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +31,9 @@
 #include <vector>
 
 namespace vif {
+
+class JsonValue;
+
 namespace driver {
 
 /// The wire-format version stamped into every JSON document. Versioning
@@ -41,13 +46,37 @@ inline constexpr const char SchemaVersion[] = "vifc.v1";
 /// top-level document object.
 void writeSchemaTag(JsonWriter &J);
 
+/// Echoes a request's "id" (a string, number or null value) as the "id"
+/// member; nothing when \p Id is null. Strings are escaped, integral
+/// numbers round-trip exactly, others go through %.6g (SERVER.md tells
+/// clients to use strings or integers).
+void writeRequestId(JsonWriter &J, const JsonValue *Id);
+
+/// The same rendering as a standalone JSON value token — what
+/// writeRequestId emits after the key — for a v1b frame's IDNT section.
+/// Empty when \p Id is null.
+std::string requestIdToken(const JsonValue *Id);
+
 /// The members describing one analyzed design: file/status/diagnostics,
 /// program shape, then the mode-dependent payload (graph, matrices,
-/// violations) and per-stage timings. Used verbatim inside batch
-/// documents and serve responses. When \p Opts.Cache is set, a
+/// violations, query answer). Used verbatim inside batch documents, serve
+/// responses and decoded v1b frames. When \p Opts.Cache is set, a
 /// "cacheHit" member reports whether the design's session was reused.
 void writeDesignBody(JsonWriter &J, const DesignResult &D,
                      const BatchOptions &Opts);
+
+/// The per-stage "timings" object; batch designs and serve responses
+/// carry it after the design body (v1b frames do not).
+void writeTimingsObject(JsonWriter &J, const StageTimings &T);
+
+/// The members of a design-level response, up to and including the
+/// design body: schema, id, command, \p ContentKey when non-empty,
+/// method (flows only), writeDesignBody. A serve response appends
+/// timings, wallMs and the cache object; a decoded v1b frame is exactly
+/// this.
+void writeDesignResponse(JsonWriter &J, const JsonValue *Id,
+                         const DesignResult &D, const BatchOptions &Opts,
+                         std::string_view ContentKey = {});
 
 /// The "cache" statistics object (serve responses, stats documents).
 void writeCacheObject(JsonWriter &J, const SessionCache &Cache);

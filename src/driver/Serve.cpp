@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <istream>
@@ -231,55 +230,13 @@ std::string parseRequest(const JsonValue &Doc, ServeRequest &R) {
   return "";
 }
 
-/// Echoes the request's "id" member (validated as string/number/null).
-/// Integral numbers round-trip exactly; fractional ones go through the
-/// writer's %.6g double formatting (SERVER.md tells clients to use
-/// strings or integers).
-void writeId(JsonWriter &J, const JsonValue *Id) {
-  if (!Id)
-    return;
-  J.key("id");
-  if (Id->isString()) {
-    J.value(Id->asString());
-  } else if (Id->isNumber()) {
-    double N = Id->asNumber();
-    // 2^53: the largest range where double holds integers exactly.
-    if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
-      J.value(static_cast<long long>(N));
-    else
-      J.value(N);
-  } else {
-    J.null();
-  }
-}
-
-/// The request's "id" as a standalone JSON value token — what writeId
-/// would emit after the key — for echoing into a v1b IDNT section.
-/// Empty when the request carried no id.
-std::string renderIdToken(const JsonValue *Id) {
-  if (!Id)
-    return "";
-  if (Id->isString())
-    return "\"" + jsonEscape(Id->asString()) + "\"";
-  if (Id->isNumber()) {
-    double N = Id->asNumber();
-    char Num[32];
-    if (N == std::floor(N) && std::abs(N) <= 9007199254740992.0)
-      std::snprintf(Num, sizeof(Num), "%lld", static_cast<long long>(N));
-    else
-      std::snprintf(Num, sizeof(Num), "%.6g", N);
-    return Num;
-  }
-  return "null";
-}
-
 std::string errorResponse(const JsonValue *Id, std::string_view Code,
                           std::string_view Message) {
   std::ostringstream OS;
   JsonWriter J(OS, JsonStyle::Compact);
   J.beginObject();
   writeSchemaTag(J);
-  writeId(J, Id);
+  writeRequestId(J, Id);
   J.member("status", "error");
   writeErrorObject(J, Code, Message);
   J.endObject();
@@ -406,7 +363,7 @@ std::string Server::handleLine(const std::string &Line) {
       ShuttingDown.store(true, std::memory_order_release);
     J.beginObject();
     writeSchemaTag(J);
-    writeId(J, Id);
+    writeRequestId(J, Id);
     J.member("command", R.Command);
     J.member("status", "ok");
     J.endObject();
@@ -416,7 +373,7 @@ std::string Server::handleLine(const std::string &Line) {
   if (R.Command == "stats") {
     J.beginObject();
     writeSchemaTag(J);
-    writeId(J, Id);
+    writeRequestId(J, Id);
     J.member("command", R.Command);
     J.member("status", "ok");
     J.member("requests", Requests.load(std::memory_order_relaxed));
@@ -468,19 +425,13 @@ std::string Server::handleLine(const std::string &Line) {
     // One self-delimiting binary frame; no timings or cache statistics,
     // so identical requests yield byte-identical responses.
     std::string Frame;
-    writeV1bDesign(Frame, D, B, renderIdToken(Id));
+    writeV1bDesign(Frame, D, B, requestIdToken(Id));
     return Frame;
   }
 
   J.beginObject();
-  writeSchemaTag(J);
-  writeId(J, Id);
-  J.member("command", R.Command);
-  if (!ContentKey.empty())
-    J.member("contentKey", ContentKey);
-  if (R.Mode == BatchMode::Flows)
-    J.member("method", flowMethodName(R.Method));
-  writeDesignBody(J, D, B);
+  writeDesignResponse(J, Id, D, B, ContentKey);
+  writeTimingsObject(J, D.Timings);
   J.member("wallMs", WallMs);
   writeCacheObject(J, Cache);
   J.endObject();

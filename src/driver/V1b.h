@@ -57,10 +57,14 @@ void printBatchV1b(std::ostream &OS, const BatchResult &R,
 uint64_t v1bFrameLength(std::string_view Bytes);
 
 /// Decodes one complete frame back into the equivalent design-level
-/// vifc.v1 JSON document (compact style) — the serve JSON response minus
-/// its "cacheHit", "timings", "wallMs" and "cache" members. Returns false
-/// (setting \p Error when non-null) on malformed input. Unknown section
-/// tags are skipped, per the version-1 compatibility policy.
+/// vifc.v1 JSON document (compact style): the frame is rebuilt into a
+/// DesignResult — the flow graph from the NODE/EDGE tables — and rendered
+/// by driver/Serialize.h's writeDesignResponse, so it is the serve JSON
+/// response minus its "cacheHit", "timings", "wallMs", "cache" and
+/// "contentKey" members. Returns false (setting \p Error when non-null)
+/// on malformed input — never throws; every count is checked against the
+/// bytes left before anything is sized by it. Unknown section tags are
+/// skipped, per the version-1 compatibility policy.
 bool decodeV1bToJson(std::string_view Frame, std::string &JsonOut,
                      std::string *Error = nullptr);
 

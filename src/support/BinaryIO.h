@@ -6,12 +6,16 @@
 ///
 /// \file
 /// Byte-level encode/decode helpers shared by every binary artifact format
-/// in the project (the v1b graph format in driver/V1b.cpp and the on-disk
-/// artifact store in driver/ArtifactStore.cpp). Writers append to a
-/// std::string; readers carry an Ok flag that latches false on the first
-/// out-of-bounds read, so decoders can run a whole parse and check once at
-/// the end — the discipline that lets corrupt store entries degrade to
-/// cache misses instead of undefined behavior.
+/// in the project (the v1b response frames in driver/V1b.cpp, the on-disk
+/// artifact store in driver/ArtifactStore.cpp and the per-process rows in
+/// rd/Incremental.cpp). Writers append to a std::string; readers carry an
+/// Ok flag that latches false on the first out-of-bounds read, so decoders
+/// can run a whole parse and check once at the end — the discipline that
+/// lets corrupt store entries degrade to cache misses and hostile frames
+/// to decode errors instead of undefined behavior.
+///
+/// Both framed formats are sequences of tagged sections: four ASCII tag
+/// bytes, a u64 body length, then the body (section() on either side).
 ///
 /// All integers are little-endian regardless of host order.
 ///
@@ -50,6 +54,20 @@ public:
   void str(std::string_view S) {
     u64(S.size());
     bytes(S.data(), S.size());
+  }
+
+  /// Length-prefixed string with a u32 length (the v1b string encoding).
+  void str32(std::string_view S) {
+    u32(static_cast<uint32_t>(S.size()));
+    bytes(S.data(), S.size());
+  }
+
+  /// One tagged section: the four tag bytes, then \p Body as a u64
+  /// length-prefixed string. tools/schema_check.py greps the tags handed
+  /// to this call out of the encoders and pins them against docs/SCHEMA.md.
+  void section(const char (&Tag)[5], std::string_view Body) {
+    bytes(Tag, 4);
+    str(Body);
   }
 
   size_t size() const { return Buf.size(); }
@@ -118,6 +136,24 @@ public:
       return {};
     }
     return raw(static_cast<size_t>(Len));
+  }
+
+  /// Length-prefixed string written by ByteWriter::str32.
+  std::string_view str32() {
+    uint32_t Len = u32();
+    if (Len > remaining()) {
+      OkFlag = false;
+      return {};
+    }
+    return raw(Len);
+  }
+
+  /// Reads one section written by ByteWriter::section into \p Body and
+  /// returns its tag; an empty tag (and ok() false) on underflow.
+  std::string_view section(std::string_view &Body) {
+    std::string_view Tag = raw(4);
+    Body = str();
+    return ok() ? Tag : std::string_view();
   }
 
   size_t remaining() const { return static_cast<size_t>(End - P); }

@@ -254,15 +254,6 @@ std::vector<std::string> Digraph::sortedNodes() const {
   return Result;
 }
 
-std::vector<std::pair<std::string, std::string>> Digraph::sortedEdges() const {
-  std::vector<std::pair<std::string, std::string>> Result;
-  Result.reserve(numEdges());
-  forEachSortedEdge([&Result](std::string_view From, std::string_view To) {
-    Result.emplace_back(From, To);
-  });
-  return Result;
-}
-
 std::vector<Digraph::NodeId> Digraph::successors(NodeId Id) const {
   flushEdges();
   std::vector<NodeId> Result;
@@ -410,8 +401,22 @@ Digraph::edgesNotIn(const Digraph &Other) const {
 }
 
 bool Digraph::sameFlows(const Digraph &Other) const {
-  return sortedNodes() == Other.sortedNodes() &&
-         sortedEdges() == Other.sortedEdges();
+  if (numNodes() != Other.numNodes() || numEdges() != Other.numEdges())
+    return false;
+  ensureSortedViews();
+  Other.ensureSortedViews();
+  // Equal rank-ordered name tables make the two rank spaces coincide, so
+  // the edge sets are equal iff the ranked sorted edge sequences are.
+  for (size_t R = 0; R < RankOrder.size(); ++R)
+    if (Names[RankOrder[R]] != Other.Names[Other.RankOrder[R]])
+      return false;
+  for (size_t I = 0; I < EdgeOrder.size(); ++I) {
+    const auto &[F, T] = Edges[EdgeOrder[I]];
+    const auto &[OF, OT] = Other.Edges[Other.EdgeOrder[I]];
+    if (RankOf[F] != Other.RankOf[OF] || RankOf[T] != Other.RankOf[OT])
+      return false;
+  }
+  return true;
 }
 
 void Digraph::printDOT(std::ostream &OS, std::string_view Title) const {

@@ -112,9 +112,6 @@ public:
   /// Node names sorted lexicographically (a per-call copy; prefer
   /// rankedNodes() on hot paths).
   std::vector<std::string> sortedNodes() const;
-  /// All edges as (from, to) name pairs, sorted lexicographically (a
-  /// per-call copy; prefer forEachSortedEdge on hot paths).
-  std::vector<std::pair<std::string, std::string>> sortedEdges() const;
 
   /// Node ids in lexicographic name order (the rank permutation). The
   /// reference stays valid until the next node insertion.
@@ -141,7 +138,6 @@ public:
 
   /// Streams the edges in lexicographic (from-name, to-name) order as
   /// string_view pairs, without materializing any intermediate vector.
-  /// Exactly the order of sortedEdges().
   template <typename Callback> void forEachSortedEdge(Callback &&CB) const {
     ensureSortedViews();
     for (uint32_t Index : EdgeOrder) {

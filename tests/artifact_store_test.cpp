@@ -17,6 +17,7 @@
 
 #include "driver/AnalysisSession.h"
 #include "driver/ArtifactStore.h"
+#include "support/Hash.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
@@ -250,6 +251,33 @@ TEST(ArtifactCodec, QueryIndexRoundTripsAndValidatesShape) {
   for (size_t Len = 0; Len < Blob.size(); ++Len)
     EXPECT_FALSE(decodeQueryIndex(Blob.substr(0, Len), Graph).has_value())
         << "prefix of " << Len << " bytes decoded";
+}
+
+// The dsgn and qidx codecs' exact bytes for tests/inputs/smoke.vhd:
+// length and 64-bit FNV-1a, captured before the codecs moved onto the
+// shared support/BinaryIO section framing. Round trips cannot catch a
+// layout drift both sides share; a change here needs an
+// ArtifactStoreVersion bump.
+TEST(ArtifactCodec, GoldenBlobBytes) {
+  std::ifstream In(VIFC_INPUTS_DIR "/smoke.vhd", std::ios::binary);
+  std::ostringstream Source;
+  Source << In.rdbuf();
+  ASSERT_FALSE(Source.str().empty());
+  AnalysisSession S = AnalysisSession::fromSource("smoke.vhd", Source.str(),
+                                                  SessionOptions());
+  ASSERT_NE(S.ifa(), nullptr);
+  ASSERT_NE(S.queryEngine(), nullptr);
+  auto Fnv1a = [](std::string_view Bytes) {
+    HashBuilder H;
+    H.bytes(Bytes.data(), Bytes.size());
+    return H.value();
+  };
+  std::string Dsgn = encodeDesignArtifact(*S.ifa());
+  EXPECT_EQ(Dsgn.size(), 366u);
+  EXPECT_EQ(Fnv1a(Dsgn), 0x34c1ee1ad42e552bull);
+  std::string Qidx = encodeQueryIndex(*S.queryEngine());
+  EXPECT_EQ(Qidx.size(), 100u);
+  EXPECT_EQ(Fnv1a(Qidx), 0xbdcc59f96b179660ull);
 }
 
 TEST(RestartSurvival, WarmDiskRunInvokesNoSolver) {

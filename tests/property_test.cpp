@@ -17,6 +17,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "EdgeList.h"
 #include "ifa/InformationFlow.h"
 #include "ifa/Kemmerer.h"
 #include "parse/Parser.h"
@@ -68,7 +69,7 @@ void checkInvariants(const Analyzed &A, const std::string &Tag) {
     for (LabelId L : Proc.WaitLabels)
       for (Resource N : A.R.RMlo.resourcesAt(L, Access::R0))
         WaitReadSources.insert(N.name(A.Program));
-  for (const auto &[From, To] : A.R.Graph.sortedEdges()) {
+  for (const auto &[From, To] : test::edgeList(A.R.Graph)) {
     auto IsInterface = [](const std::string &N) {
       return N.find("◦") != std::string::npos ||
              N.find("•") != std::string::npos;

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "EdgeList.h"
 #include "driver/Serialize.h"
 #include "driver/Serve.h"
 #include "gen/Generator.h"
@@ -559,7 +560,7 @@ TEST(Serve, ConcurrentGeneratedDesignsMatchSerialReplay) {
   constexpr size_t N = 12;
   constexpr size_t Threads = 6;
   std::vector<std::string> Sources;
-  std::vector<std::vector<std::pair<std::string, std::string>>> Expected;
+  std::vector<test::EdgeList> Expected;
   for (size_t I = 0; I < N; ++I) {
     Sources.push_back(gen::generateDesign(9000 + I));
     AnalysisSession S =
@@ -567,7 +568,7 @@ TEST(Serve, ConcurrentGeneratedDesignsMatchSerialReplay) {
     const IFAResult *R = S.ifa();
     ASSERT_NE(R, nullptr) << "seed " << 9000 + I << "\n"
                           << S.diagnostics().str();
-    Expected.push_back(R->Graph.sortedEdges());
+    Expected.push_back(test::edgeList(R->Graph));
   }
 
   SessionCache Cache(N); // capacity == N: no evictions in the mix
@@ -582,7 +583,7 @@ TEST(Serve, ConcurrentGeneratedDesignsMatchSerialReplay) {
         SessionCache::Ref R = Cache.acquire("g" + std::to_string(I),
                                             Sources[I], SessionOptions());
         const IFAResult *Ifa = R.session().ifa();
-        if (!Ifa || Ifa->Graph.sortedEdges() != Expected[I])
+        if (!Ifa || test::edgeList(Ifa->Graph) != Expected[I])
           ++Disagreements;
       }
     });

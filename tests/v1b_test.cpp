@@ -10,23 +10,30 @@
 /// JSON document, repeated identical requests yield byte-identical
 /// frames, frames self-delimit by their header length, malformed frames
 /// are rejected and unknown sections are skipped (the version-1
-/// compatibility policy). Plus the streaming-edge differential: on
+/// compatibility policy); golden hashes pin the exact bytes of every
+/// command's frame, and hostile counts are rejected before anything is
+/// sized by them. Plus the streaming-edge differential: on
 /// fuzz-generated designs forEachSortedEdge must enumerate exactly the
-/// legacy sortedEdges() order.
+/// lexicographically sorted name pairs.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "EdgeList.h"
 #include "driver/AnalysisSession.h"
 #include "driver/Serve.h"
 #include "driver/V1b.h"
 #include "gen/Generator.h"
+#include "support/BinaryIO.h"
+#include "support/Hash.h"
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -292,8 +299,107 @@ TEST(V1b, EdgeIndicesOutOfRangeRejected) {
   EXPECT_NE(Error.find("EDGE"), std::string::npos);
 }
 
+/// tests/inputs/smoke.vhd, read from the source tree.
+std::string smokeSource() {
+  std::ifstream In(VIFC_INPUTS_DIR "/smoke.vhd", std::ios::binary);
+  std::ostringstream OS;
+  OS << In.rdbuf();
+  return OS.str();
+}
+
+uint64_t fnv1a(std::string_view Bytes) {
+  HashBuilder H;
+  H.bytes(Bytes.data(), Bytes.size());
+  return H.value();
+}
+
+// Round trips cannot catch a layout drift that both sides share, so the
+// exact bytes are pinned: length and 64-bit FNV-1a of each command's frame
+// for smoke.vhd, captured from the encoder before it moved onto
+// support/BinaryIO. A change here is a wire-format change (docs/SCHEMA.md
+// versioning policy), never a refactoring side effect.
+TEST(V1b, GoldenWireBytes) {
+  struct Case {
+    const char *What;
+    BatchMode Mode;
+    FlowMethod Method;
+    bool Improved;
+    size_t Length;
+    uint64_t Hash;
+  } Cases[] = {
+      {"check", BatchMode::Check, FlowMethod::Native, false, 86,
+       0x5797c1cc9552fc22ull},
+      {"flows", BatchMode::Flows, FlowMethod::Native, false, 170,
+       0xf5660189649f3dc1ull},
+      {"flows kemmerer", BatchMode::Flows, FlowMethod::Kemmerer, false, 170,
+       0x91a48c972010f337ull},
+      {"flows improved", BatchMode::Flows, FlowMethod::Native, true, 278,
+       0x00f1f11af2c1bf94ull},
+      {"rm", BatchMode::Matrices, FlowMethod::Native, false, 114,
+       0xd2d53b35d8ab7616ull},
+      {"report", BatchMode::Report, FlowMethod::Native, false, 199,
+       0x8ee398d5602a44aeull},
+      {"query", BatchMode::Query, FlowMethod::Native, false, 173,
+       0x1b2f3546921df856ull},
+  };
+  std::string Source = smokeSource();
+  ASSERT_FALSE(Source.empty());
+  for (const Case &C : Cases) {
+    BatchOptions O;
+    O.Mode = C.Mode;
+    O.Method = C.Method;
+    O.Session.Ifa.Improved = C.Improved;
+    O.CaptureRenderedText = false;
+    O.Policy.Forbidden.push_back({"sel", "q"});
+    O.QueryFrom = "sel";
+    O.QueryTo = "q";
+    DesignResult D = analyzeDesign({"smoke.vhd", Source}, O);
+    ASSERT_TRUE(D.Ok) << C.What << "\n" << D.Diagnostics;
+    std::string Frame;
+    writeV1bDesign(Frame, D, O, "7");
+    EXPECT_EQ(Frame.size(), C.Length) << C.What;
+    EXPECT_EQ(fnv1a(Frame), C.Hash) << C.What;
+  }
+}
+
+// A count the frame cannot back must be rejected before it sizes
+// anything. This 101-byte flows frame (META, a NODE section holding only
+// its count, an empty EDGE section) claims 0xFFFFFFFF nodes.
+TEST(V1b, HostileNodeCountIsRejectedWithoutThrowing) {
+  ByteWriter Meta;
+  Meta.u8(1); // flows
+  Meta.u8(0); // native
+  Meta.u8(1); // ok
+  Meta.u8(0); // readable
+  Meta.str32("x");
+  Meta.u64(1);
+  Meta.u64(4);
+  Meta.u64(0);
+  ByteWriter Nodes;
+  Nodes.u32(0xffffffffu);
+  ByteWriter Edges;
+  Edges.u64(0);
+  ByteWriter Sections;
+  Sections.section("META", Meta.data());
+  Sections.section("NODE", Nodes.data());
+  Sections.section("EDGE", Edges.data());
+  ByteWriter Frame;
+  Frame.bytes(V1bMagic, 4);
+  Frame.u32(V1bVersion);
+  Frame.u64(20 + Sections.size());
+  Frame.u32(3);
+  Frame.bytes(Sections.data().data(), Sections.size());
+  ASSERT_EQ(Frame.size(), 101u);
+
+  std::string Json, Error;
+  bool Decoded = true;
+  EXPECT_NO_THROW(Decoded = decodeV1bToJson(Frame.data(), Json, &Error));
+  EXPECT_FALSE(Decoded);
+  EXPECT_NE(Error.find("NODE"), std::string::npos) << Error;
+}
+
 //===----------------------------------------------------------------------===//
-// Streaming-edge differential: forEachSortedEdge vs legacy sortedEdges()
+// Streaming-edge differential: forEachSortedEdge vs sorted name pairs
 //===----------------------------------------------------------------------===//
 
 TEST(V1b, StreamingEdgeOrderMatchesLegacyOnFuzzDesigns) {
@@ -305,13 +411,14 @@ TEST(V1b, StreamingEdgeOrderMatchesLegacyOnFuzzDesigns) {
       continue; // generator emits valid designs; belt and braces
     const Digraph &G = S.ifa()->Graph;
 
-    std::vector<std::pair<std::string, std::string>> Legacy =
-        G.sortedEdges();
-    std::vector<std::pair<std::string, std::string>> Streamed;
-    Streamed.reserve(Legacy.size());
-    G.forEachSortedEdge([&](std::string_view From, std::string_view To) {
-      Streamed.emplace_back(std::string(From), std::string(To));
+    // The legacy order, from first principles: every edge as a name
+    // pair, sorted lexicographically.
+    test::EdgeList Legacy;
+    G.forEachEdgeId([&](Digraph::NodeId From, Digraph::NodeId To) {
+      Legacy.emplace_back(std::string(G.name(From)), std::string(G.name(To)));
     });
+    std::sort(Legacy.begin(), Legacy.end());
+    test::EdgeList Streamed = test::edgeList(G);
     EXPECT_EQ(Streamed, Legacy) << "seed " << Seed;
 
     // And the ranked variant indexes the same pairs through the node

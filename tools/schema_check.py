@@ -31,10 +31,13 @@ SOURCES = sorted(
 FIELD_RE = re.compile(r'\b(?:member|key)\(\s*"([A-Za-z0-9_]+)"')
 VERSION_RE = re.compile(r'SchemaVersion\[\]\s*=\s*"([^"]+)"')
 
-# Binary frames: every section tag an encoder emits (F.section("XXXX",
-# ...) in driver/V1b.cpp for the v1b response format, and in
-# driver/ArtifactStore.cpp for the on-disk artifact store) must appear in
-# SCHEMA.md's section tables, same drift rule as for JSON fields.
+# Binary frames: every section tag an encoder emits must appear in
+# SCHEMA.md's section tables, same drift rule as for JSON fields. Both
+# encoders frame through support/BinaryIO.h's ByteWriter::section, so the
+# tags are the literal first arguments of `<writer>.section("XXXX", ...)`
+# calls — in driver/V1b.cpp for the v1b response format and in
+# driver/ArtifactStore.cpp for the on-disk artifact store. (The readers'
+# `R.section(Body)` calls take no literal and are not matched.)
 SECTION_SOURCES = [
     ROOT / "src" / "driver" / "V1b.cpp",
     ROOT / "src" / "driver" / "ArtifactStore.cpp",

@@ -31,8 +31,12 @@
 ///
 /// Mutate mode, per seed: corrupt the generated source (truncation, token
 /// splicing, byte flips — src/gen/Mutator.h) and require the frontend to
-/// diagnose cleanly or succeed; crashes, hangs and sanitizer reports are
-/// the failures this mode exists to surface.
+/// diagnose cleanly or succeed; then corrupt the design's v1b frames and
+/// its dsgn/qidx store blobs (truncation at every section boundary, bit
+/// flips, count fields inflated to their maximum) and require
+/// decodeV1bToJson, decodeDesignArtifact and decodeQueryIndex to return
+/// without throwing. Crashes, hangs and sanitizer reports are the
+/// failures this mode exists to surface.
 ///
 /// Incremental mode, per seed: route the Table 4/5 solvers through a
 /// ProcessArtifactTable (rd/Incremental.h) — once against a cold table and
@@ -47,6 +51,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/ArtifactStore.h"
+#include "driver/Batch.h"
+#include "driver/SessionCache.h"
+#include "driver/V1b.h"
 #include "gen/Generator.h"
 #include "gen/Minimizer.h"
 #include "gen/Mutator.h"
@@ -55,14 +63,19 @@
 #include "parse/Parser.h"
 #include "query/FlowQueryEngine.h"
 #include "rd/Incremental.h"
+#include "support/BinaryIO.h"
+#include "support/JsonParse.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace vif;
 
@@ -215,8 +228,7 @@ std::string oracleFailure(const std::string &Source,
   IFAResult IfaRef = analyzeInformationFlow(*P, CFG, RefRD);
   if (!(IfaDense.RMgl == IfaRef.RMgl))
     return "IFA RMgl differs between dense and reference RD";
-  if (IfaDense.Graph.numNodes() != IfaRef.Graph.numNodes() ||
-      IfaDense.Graph.sortedEdges() != IfaRef.Graph.sortedEdges())
+  if (!IfaDense.Graph.sameFlows(IfaRef.Graph))
     return "IFA flow graph differs between dense and reference RD";
 
   // (5) BitSet closure vs ReferenceClosure, plain and improved. The
@@ -289,7 +301,7 @@ std::string oracleFailure(const std::string &Source,
     Improved.Improved = true;
     IFAResult Again = analyzeInformationFlow(*P2, CFG2, Improved);
     if (!(Again.RMgl == IfaImproved.RMgl) ||
-        Again.Graph.sortedEdges() != IfaImproved.Graph.sortedEdges())
+        !Again.Graph.sameFlows(IfaImproved.Graph))
       return "re-analysis is not deterministic";
   }
 
@@ -462,6 +474,191 @@ std::string mutationFailure(const std::string &Mutant) {
   return "";
 }
 
+/// One decoder under test: decodes \p Bytes, reporting (not throwing) a
+/// defect — a rejection without a message, or a decode to malformed JSON.
+using DecodeFn = std::function<std::string(std::string_view Bytes)>;
+
+/// Mutates \p Blob and runs \p Decode on every variant: truncated at each
+/// offset in \p Cuts, 32 single-bit flips, and u32/u64 fields inflated to
+/// their maximum at each offset in \p Counts plus 8 drawn ones. When
+/// \p LengthAt is set, truncations are also replayed with the u64 at that
+/// offset patched to the new size, so they get past a total-length check.
+/// Returns the first defect, a throw included, or empty.
+std::string mutateAndDecode(const std::string &What, const std::string &Blob,
+                            const std::vector<size_t> &Cuts,
+                            const std::vector<size_t> &Counts,
+                            std::optional<size_t> LengthAt,
+                            const DecodeFn &Decode, uint64_t Seed) {
+  auto poke = [](std::string &B, size_t Off, uint64_t V, int Bytes) {
+    for (int I = 0; I < Bytes && Off + I < B.size(); ++I)
+      B[Off + I] = static_cast<char>((V >> (8 * I)) & 0xff);
+  };
+  auto run = [&](const std::string &M, const std::string &How) {
+    try {
+      std::string Defect = Decode(M);
+      return Defect.empty() ? Defect : What + ", " + How + ": " + Defect;
+    } catch (const std::exception &E) {
+      return What + ", " + How + ": decoder threw " + E.what();
+    } catch (...) {
+      return What + ", " + How + ": decoder threw";
+    }
+  };
+  uint64_t H = Seed * 0x9e3779b97f4a7c15ull + Blob.size();
+  auto next = [&H]() {
+    H += 0x9e3779b97f4a7c15ull;
+    uint64_t Z = H;
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+    return Z ^ (Z >> 31);
+  };
+  for (size_t Cut : Cuts) {
+    if (Cut >= Blob.size())
+      continue;
+    std::string M = Blob.substr(0, Cut);
+    std::string How = "truncated to " + std::to_string(Cut) + " bytes";
+    if (std::string F = run(M, How); !F.empty())
+      return F;
+    if (LengthAt && *LengthAt + 8 <= Cut) {
+      poke(M, *LengthAt, Cut, 8);
+      if (std::string F = run(M, How + " (re-lengthed)"); !F.empty())
+        return F;
+    }
+  }
+  if (Blob.empty())
+    return "";
+  for (int I = 0; I < 32; ++I) {
+    std::string M = Blob;
+    size_t Bit = next() % (M.size() * 8);
+    M[Bit / 8] = static_cast<char>(M[Bit / 8] ^ (1u << (Bit % 8)));
+    if (std::string F = run(M, "bit " + std::to_string(Bit) + " flipped");
+        !F.empty())
+      return F;
+  }
+  std::vector<size_t> Offsets = Counts;
+  for (int I = 0; I < 8; ++I)
+    Offsets.push_back(next() % Blob.size());
+  for (size_t Off : Offsets)
+    for (int Bytes : {4, 8}) {
+      if (Off + Bytes > Blob.size())
+        continue;
+      std::string M = Blob;
+      poke(M, Off, ~uint64_t(0), Bytes);
+      if (std::string F = run(M, "u" + std::to_string(Bytes * 8) + " at " +
+                                     std::to_string(Off) + " inflated");
+          !F.empty())
+        return F;
+    }
+  return "";
+}
+
+/// Section boundaries of a tagged-section sequence starting at \p Off
+/// (support/BinaryIO.h: 4 tag bytes, u64 length, body): each section's
+/// start, length field and body start go to \p Cuts and \p Counts (the
+/// body start usually holds a count), each end to \p Cuts.
+void sectionOffsets(const std::string &Blob, size_t Off,
+                    std::vector<size_t> &Cuts, std::vector<size_t> &Counts) {
+  while (Off + 12 <= Blob.size()) {
+    ByteReader R(std::string_view(Blob).substr(Off + 4, 8));
+    uint64_t Len = R.u64();
+    Cuts.insert(Cuts.end(), {Off, Off + 4, Off + 12});
+    Counts.insert(Counts.end(), {Off + 4, Off + 12});
+    if (Len > Blob.size() - Off - 12)
+      return;
+    Off += 12 + Len;
+    Cuts.push_back(Off);
+  }
+}
+
+/// Decoder battery, run in mutate mode: the design's v1b frames (flows,
+/// rm, report, query) and its dsgn/qidx store blobs, mutated by
+/// mutateAndDecode, must each decode or be rejected with a message —
+/// never throw. A v1b frame that decodes must decode to well-formed JSON.
+std::string decoderFailure(const std::string &Source, uint64_t Seed) {
+  driver::SessionCache Cache(1);
+  driver::BatchInput In{"fuzz.vhd", Source};
+  driver::BatchOptions O;
+  O.Cache = &Cache;
+  O.CaptureRenderedText = false;
+  O.Mode = driver::BatchMode::Flows;
+  driver::DesignResult Flows = driver::analyzeDesign(In, O);
+  if (!Flows.Ok || !Flows.Graph)
+    return "generator emitted an invalid design:\n" + Flows.Diagnostics;
+
+  // Endpoints for the report and query frames: the first edge, so the
+  // policy is violated and the query has a witness.
+  std::string From, To;
+  Flows.Graph->forEachSortedEdge([&](std::string_view F, std::string_view T) {
+    if (From.empty()) {
+      From = F;
+      To = T;
+    }
+  });
+  O.Policy.Forbidden.push_back({From, To});
+  O.QueryFrom = From;
+  O.QueryTo = To;
+
+  DecodeFn V1b = [](std::string_view Frame) -> std::string {
+    std::string Json, Error;
+    if (driver::decodeV1bToJson(Frame, Json, &Error))
+      return parseJson(Json) ? "" : "decoded to malformed JSON";
+    return Error.empty() ? "rejected without an error message" : "";
+  };
+  for (driver::BatchMode Mode :
+       {driver::BatchMode::Flows, driver::BatchMode::Matrices,
+        driver::BatchMode::Report, driver::BatchMode::Query}) {
+    O.Mode = Mode;
+    driver::DesignResult D = driver::analyzeDesign(In, O);
+    std::string Frame;
+    driver::writeV1bDesign(Frame, D, O, "1");
+    // Header fields: frame length (8), section count (16).
+    std::vector<size_t> Cuts = {0, 4, 8, 16}, Counts = {8, 16};
+    sectionOffsets(Frame, 20, Cuts, Counts);
+    std::string What =
+        std::string("v1b ") + driver::batchModeName(Mode) + " frame";
+    if (std::string F =
+            mutateAndDecode(What, Frame, Cuts, Counts, 8, V1b, Seed);
+        !F.empty())
+      return F;
+  }
+
+  // The store blobs, from the same warm session. The Ref holds the entry
+  // lock, so no analyzeDesign call may run against Cache from here on.
+  driver::SessionCache::Ref Ref =
+      Cache.acquire(In.Name, Source, driver::SessionOptions());
+  const IFAResult *Ifa = Ref.session().ifa();
+  const query::FlowQueryEngine *Q = Ref.session().queryEngine();
+  if (!Ifa || !Q)
+    return "flows succeeded but the session has no IFA or query engine";
+  const Digraph &G = Ifa->Graph;
+  struct Blob {
+    const char *What;
+    std::string Bytes;
+    DecodeFn Decode;
+  } Blobs[] = {
+      {"dsgn blob", driver::encodeDesignArtifact(*Ifa),
+       [](std::string_view B) {
+         ResourceMatrix Lo, Gl;
+         Digraph Graph;
+         driver::decodeDesignArtifact(B, Lo, Gl, Graph);
+         return std::string();
+       }},
+      {"qidx blob", driver::encodeQueryIndex(*Q),
+       [&G](std::string_view B) {
+         driver::decodeQueryIndex(B, G);
+         return std::string();
+       }},
+  };
+  for (const Blob &B : Blobs) {
+    std::vector<size_t> Cuts, Counts;
+    sectionOffsets(B.Bytes, 0, Cuts, Counts);
+    if (std::string F = mutateAndDecode(B.What, B.Bytes, Cuts, Counts,
+                                        std::nullopt, B.Decode, Seed);
+        !F.empty())
+      return F;
+  }
+  return "";
+}
+
 /// Incremental battery: Table 4/5 through \p Table vs the cold solvers,
 /// label by label, then the composed IFA vs analyzeInformationFlow. When
 /// \p ExpectFullReuse (the table was warmed by a previous run of the same
@@ -516,7 +713,7 @@ std::string incrementalFailure(const std::string &Source,
                                          std::move(ActInc), std::move(RdInc));
   if (!(Inc.RMlo == Cold.RMlo) || !(Inc.RMgl == Cold.RMgl))
     return "composed IFA matrices differ from the cold pipeline";
-  if (Inc.Graph.sortedEdges() != Cold.Graph.sortedEdges())
+  if (!Inc.Graph.sameFlows(Cold.Graph))
     return "composed IFA flow graph differs from the cold pipeline";
   return "";
 }
@@ -610,7 +807,7 @@ int main(int argc, char **argv) {
                         Opts.M == Options::Mode::All;
   unsigned Failures = 0;
   uint64_t OracleRuns = 0, QueryRuns = 0, MutantRuns = 0,
-           IncrementalRuns = 0, KillGenSkipped = 0;
+           IncrementalRuns = 0, KillGenSkipped = 0, DecoderRuns = 0;
   // Shared across seeds so cross-design artifact reuse is fuzzed too;
   // content-hashed keys make false sharing a reportable failure.
   ProcessArtifactTable SharedTable;
@@ -691,9 +888,18 @@ int main(int argc, char **argv) {
                         });
         }
       }
-      if (!Opts.Quiet)
+      ++DecoderRuns;
+      std::string What = decoderFailure(Source, Seed);
+      if (!What.empty()) {
+        ++Failures;
+        reportFailure(Seed, What, Source, Opts,
+                      [Seed](const std::string &S) {
+                        return !decoderFailure(S, Seed).empty();
+                      });
+      } else if (!Opts.Quiet) {
         std::cout << "seed " << Seed << ": " << Opts.Mutants
-                  << " mutants diagnosed cleanly\n";
+                  << " mutants diagnosed cleanly, decoders ok\n";
+      }
     }
   }
 
@@ -701,6 +907,7 @@ int main(int argc, char **argv) {
             << KillGenSkipped << " over " << MaxEnumeratedTuples
             << " cf tuples skipped kill/gen enumeration), " << QueryRuns
             << " query seeds, " << IncrementalRuns << " incremental seeds, "
-            << MutantRuns << " mutants, " << Failures << " failure(s)\n";
+            << MutantRuns << " mutants, " << DecoderRuns
+            << " decoder seeds, " << Failures << " failure(s)\n";
   return Failures ? 1 : 0;
 }
