@@ -45,11 +45,11 @@ AlfpRdResult vif::solveRdWithAlfp(const ElaboratedProgram &Program,
   };
 
   RelId Flow = P.relation("flow", 2);
-  RelId KillPhi = P.relation("killphi", 3);
+  RelId KillPhi = P.relation("killphi", 2);
   RelId GenPhi = P.relation("genphi", 2);
   RelId PhiEntry = P.relation("rdphi_entry", 3);
   RelId PhiExit = P.relation("rdphi_exit", 3);
-  RelId KillCf = P.relation("killcf", 3);
+  RelId KillCf = P.relation("killcf", 2);
   RelId GenCf = P.relation("gencf", 2);
   RelId CfInit = P.relation("cfinit", 3);
   RelId CfEntry = P.relation("rdcf_entry", 3);
@@ -63,14 +63,14 @@ AlfpRdResult vif::solveRdWithAlfp(const ElaboratedProgram &Program,
   ActiveKillGen PhiKG = computeActiveKillGen(CFG);
   ReachingDefsKillGen CfKG = computeReachingDefsKillGen(CFG, Active, Opts);
   for (LabelId L = 1; L <= CFG.numLabels(); ++L) {
-    for (const DefPair &D : PhiKG.Kill[L])
-      P.fact(KillPhi, {resource(D.N), label(D.L), label(L)});
+    for (Resource N : PhiKG.Kill[L])
+      P.fact(KillPhi, {resource(N), label(L)});
     for (const DefPair &D : PhiKG.Gen[L]) {
       assert(D.L == L && "Table 4 gen pairs carry their own label");
       P.fact(GenPhi, {resource(D.N), label(L)});
     }
-    for (const DefPair &D : CfKG.Kill[L])
-      P.fact(KillCf, {resource(D.N), label(D.L), label(L)});
+    for (Resource N : CfKG.Kill[L])
+      P.fact(KillCf, {resource(N), label(L)});
     for (const DefPair &D : CfKG.Gen[L]) {
       assert(D.L == L && "Table 5 gen pairs carry their own label");
       P.fact(GenCf, {resource(D.N), label(L)});
@@ -90,10 +90,12 @@ AlfpRdResult vif::solveRdWithAlfp(const ElaboratedProgram &Program,
   auto V = [](uint32_t Id) { return Term::var(Id); };
   enum : uint32_t { N = 0, LD = 1, L = 2, LP = 3 };
 
-  // rdphi_exit(N, LD, L) :- rdphi_entry(N, LD, L), !killphi(N, LD, L).
+  // A kill fact names the killed resource: every definition of it that
+  // reaches L lies in the process, so all of them are killed there.
+  // rdphi_exit(N, LD, L) :- rdphi_entry(N, LD, L), !killphi(N, L).
   P.clause({Literal{PhiExit, false, {V(N), V(LD), V(L)}},
             {Literal{PhiEntry, false, {V(N), V(LD), V(L)}},
-             Literal{KillPhi, true, {V(N), V(LD), V(L)}}}});
+             Literal{KillPhi, true, {V(N), V(L)}}}});
   // rdphi_exit(N, L, L) :- genphi(N, L).
   P.clause({Literal{PhiExit, false, {V(N), V(L), V(L)}},
             {Literal{GenPhi, false, {V(N), V(L)}}}});
@@ -105,7 +107,7 @@ AlfpRdResult vif::solveRdWithAlfp(const ElaboratedProgram &Program,
   // Same shape for RDcf, plus the initial definitions.
   P.clause({Literal{CfExit, false, {V(N), V(LD), V(L)}},
             {Literal{CfEntry, false, {V(N), V(LD), V(L)}},
-             Literal{KillCf, true, {V(N), V(LD), V(L)}}}});
+             Literal{KillCf, true, {V(N), V(L)}}}});
   P.clause({Literal{CfExit, false, {V(N), V(L), V(L)}},
             {Literal{GenCf, false, {V(N), V(L)}}}});
   P.clause({Literal{CfEntry, false, {V(N), V(LD), V(L)}},

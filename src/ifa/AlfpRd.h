@@ -9,11 +9,16 @@
 /// ALFP clauses and solves them with the alfp engine, mirroring how the
 /// paper's authors ran the analysis in the Succinct Solver:
 ///
-///   rdphi_exit(S, LD, L) :- rdphi_entry(S, LD, L), !killphi(S, LD, L).
+///   rdphi_exit(S, LD, L) :- rdphi_entry(S, LD, L), !killphi(S, L).
 ///   rdphi_exit(S, L, L)  :- genphi(S, L).
 ///   rdphi_entry(S, LD, L) :- flow(LP, L), rdphi_exit(S, LD, LP).
 ///
-/// and the analogous clauses for RDcf, whose kill/gen facts are staged from
+/// The kill relations are binary, one fact per killed resource: only the
+/// process's own definitions of S reach L, and Tables 4-5 kill all of
+/// them, so !killphi(S, L) is the literal kill set's membership test on
+/// every tuple the rule can see.
+///
+/// The analogous clauses for RDcf have their kill/gen facts staged from
 /// the Table 4 results (exactly the paper's "the result ... can be computed
 /// before we perform the Reaching Definitions analysis for local variables
 /// and signals"). A datalog least model coincides with the least fixpoint

@@ -12,48 +12,44 @@
 
 #include <deque>
 #include <map>
+#include <set>
 
 using namespace vif;
 
 void vif::computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
                                   ActiveKillGen &KG) {
-
-  // All signal-assignment definitions of this process, and per signal.
-  PairSet AllSignalDefs;
-  std::map<unsigned, PairSet> DefsOfSignal;
+  std::set<Resource> Assigned;
   for (LabelId L : P.Labels) {
     const CFGBlock &B = CFG.block(L);
     if (B.K != CFGBlock::Kind::SignalAssign)
       continue;
     const auto *A = cast<SignalAssignStmt>(B.S);
-    DefPair D{Resource::signal(A->targetRef().Id), L};
-    AllSignalDefs.insert(D);
-    DefsOfSignal[A->targetRef().Id].insert(D);
+    Resource Sig = Resource::signal(A->targetRef().Id);
+    // Whole assignments kill every assignment to s in this process;
+    // slice assignments only generate (Table 4 lists no kill for them).
+    if (!A->hasSlice())
+      KG.Kill[L] = {Sig};
+    KG.Gen[L].insert(DefPair{Sig, L});
+    Assigned.insert(Sig);
   }
+  // Synchronization consumes all active values of the process.
+  for (LabelId L : P.WaitLabels)
+    KG.Kill[L].assign(Assigned.begin(), Assigned.end());
+}
 
-  for (LabelId L : P.Labels) {
-    const CFGBlock &B = CFG.block(L);
-    switch (B.K) {
-    case CFGBlock::Kind::SignalAssign: {
-      const auto *A = cast<SignalAssignStmt>(B.S);
-      unsigned Sig = A->targetRef().Id;
-      // Whole assignments kill every assignment to s in this process;
-      // slice assignments only generate (Table 4 lists no kill for them).
-      if (!A->hasSlice())
-        KG.Kill[L] = DefsOfSignal[Sig];
-      KG.Gen[L].insert(DefPair{Resource::signal(Sig), L});
-      break;
-    }
-    case CFGBlock::Kind::Wait:
-      // Synchronization consumes all active values of the process.
-      KG.Kill[L] = AllSignalDefs;
-      break;
-    case CFGBlock::Kind::Null:
-    case CFGBlock::Kind::VarAssign:
-    case CFGBlock::Kind::Cond:
-      break;
-    }
-  }
+void vif::expandActiveKill(const ProgramCFG &CFG, const ProcessCFG &P,
+                           const KilledResources &Kill,
+                           std::vector<PairSet> &Out) {
+  std::map<Resource, std::vector<LabelId>> DefsOfSignal;
+  for (LabelId L : P.Labels)
+    if (CFG.block(L).K == CFGBlock::Kind::SignalAssign)
+      DefsOfSignal[Resource::signal(
+                       cast<SignalAssignStmt>(CFG.block(L).S)->targetRef().Id)]
+          .push_back(L);
+  for (LabelId L : P.Labels)
+    for (Resource N : Kill[L])
+      for (LabelId DefL : DefsOfSignal[N])
+        Out[L].append(DefPair{N, DefL});
 }
 
 ActiveKillGen vif::computeActiveKillGen(const ProgramCFG &CFG) {
@@ -89,7 +85,7 @@ ActiveProcessArtifact vif::solveProcessActive(const ProgramCFG &CFG,
   // reference their rows; ~six allocations per process, not 6 x NL).
   BitMatrix Kill(NL, K), Gen(NL, K);
   for (uint32_t I = 0; I < NL; ++I) {
-    Dom->maskInto(KG.Kill[FI.label(I)], Kill.row(I));
+    Dom->maskResources(KG.Kill[FI.label(I)], Kill.row(I));
     Dom->maskInto(KG.Gen[FI.label(I)], Gen.row(I));
   }
 
@@ -215,9 +211,12 @@ vif::analyzeActiveSignalsReference(const ElaboratedProgram &Program,
   R.MustEntry.resize(NumLabels + 1);
   R.MustExit.resize(NumLabels + 1);
 
+  // The paper's literal kill sets, pair by pair.
   ActiveKillGen KG = computeActiveKillGen(CFG);
+  std::vector<PairSet> Kill(NumLabels + 1);
 
   for (const ProcessCFG &P : CFG.processes()) {
+    expandActiveKill(CFG, P, KG.Kill, Kill);
     std::vector<PairSet> MayExit(NumLabels + 1), MustExit(NumLabels + 1);
 
     std::map<LabelId, std::vector<LabelId>> Preds;
@@ -247,10 +246,10 @@ vif::analyzeActiveSignalsReference(const ElaboratedProgram &Program,
       R.MustEntry.setEager(L, MustIn);
 
       PairSet MayOut = std::move(MayIn);
-      MayOut.subtract(KG.Kill[L]);
+      MayOut.subtract(Kill[L]);
       MayOut.unionWith(KG.Gen[L]);
       PairSet MustOut = std::move(MustIn);
-      MustOut.subtract(KG.Kill[L]);
+      MustOut.subtract(Kill[L]);
       MustOut.unionWith(KG.Gen[L]);
 
       bool Changed = !(MayOut == MayExit[L]) || !(MustOut == MustExit[L]);

@@ -74,9 +74,11 @@ analyzeActiveSignalsReference(const ElaboratedProgram &Program,
                               const ProgramCFG &CFG);
 
 /// The Table 4 kill/gen sets per label (shared by the worklist solver and
-/// the ALFP encoding of the equations; vectors indexed by label).
+/// the ALFP encoding of the equations; vectors indexed by label). Kill[L]
+/// lists the killed signals, each standing for all its assignments in the
+/// process (see DefPairDomain::maskResources).
 struct ActiveKillGen {
-  std::vector<PairSet> Kill;
+  KilledResources Kill;
   std::vector<PairSet> Gen;
 };
 
@@ -88,6 +90,11 @@ ActiveKillGen computeActiveKillGen(const ProgramCFG &CFG);
 /// dirty processes only.
 void computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
                              ActiveKillGen &KG);
+
+/// The paper's literal Table 4 kill sets {(s,l') | l' assigns s in P} at
+/// \p P's labels, into \p Out (spanning all labels). Validation only.
+void expandActiveKill(const ProgramCFG &CFG, const ProcessCFG &P,
+                      const KilledResources &Kill, std::vector<PairSet> &Out);
 
 /// One process's dense Table 4 solution — the unit the incremental layer
 /// caches and recomposes whole-program results from. Rows are indexed by

@@ -64,39 +64,38 @@ public:
   size_t memoryBytes() const { return Pairs.capacity() * sizeof(DefPair); }
 
   /// The contiguous index range [First, Last) of pairs whose resource is
-  /// \p N (possibly empty).
-  std::pair<size_t, size_t> rangeOf(Resource N) const {
-    auto Lo = std::lower_bound(Pairs.begin(), Pairs.end(),
-                               DefPair{N, InitialLabel});
-    auto Hi = Lo;
-    while (Hi != Pairs.end() && Hi->N == N)
-      ++Hi;
-    return {static_cast<size_t>(Lo - Pairs.begin()),
-            static_cast<size_t>(Hi - Pairs.begin())};
+  /// \p N (possibly empty), searched for from index \p From on.
+  std::pair<size_t, size_t> rangeOf(Resource N, size_t From = 0) const {
+    size_t Lo = gallop(From, [N](const DefPair &P) { return P.N < N; });
+    return {Lo, gallop(Lo, [N](const DefPair &P) { return !(N < P.N); })};
   }
 
   /// Sets the bit of every \p S member that lies in the domain into the
-  /// word span \p Row (a BitMatrix row over this domain). Pairs outside
-  /// the domain are dropped — sound for kill masks, since a pair no gen
-  /// or initial set produces can never be present.
+  /// word span \p Row (a BitMatrix row over this domain); other pairs are
+  /// dropped.
   void maskInto(const PairSet &S, uint64_t *Row) const {
     // Both sides are sorted, so each lookup resumes where the previous
-    // one stopped: a linear walk when S is dense in the domain, a binary
-    // search over the rest when it is sparse.
-    bool Walk = S.size() * 8 >= Pairs.size();
-    auto It = Pairs.begin(), End = Pairs.end();
+    // one stopped.
+    size_t I = 0;
     for (const DefPair &P : S) {
-      if (Walk)
-        while (It != End && *It < P)
-          ++It;
-      else
-        It = std::lower_bound(It, End, P);
-      if (It == End)
+      I = gallop(I, [&P](const DefPair &Q) { return Q < P; });
+      if (I == Pairs.size())
         return;
-      if (*It == P) {
-        size_t I = static_cast<size_t>(It - Pairs.begin());
+      if (Pairs[I] == P)
         Row[I >> 6] |= uint64_t(1) << (I & 63);
-      }
+    }
+  }
+
+  /// Sets the range of every resource in \p Rs (ascending, deduplicated)
+  /// into the word span \p Row: a kill set given as its killed resources,
+  /// in O(|Rs| log K + K/64) and without listing a pair. Each search
+  /// resumes where the previous range ended.
+  void maskResources(const std::vector<Resource> &Rs, uint64_t *Row) const {
+    size_t From = 0;
+    for (Resource N : Rs) {
+      auto [First, Last] = rangeOf(N, From);
+      BitMatrix::setRange(Row, First, Last);
+      From = Last;
     }
   }
 
@@ -111,8 +110,25 @@ public:
   }
 
 private:
+  /// The first index I >= \p From whose pair fails \p Before (which must
+  /// hold on a prefix), by exponential then binary search: O(log d) for an
+  /// answer d pairs on, so a sorted merge pays for its gaps, not for K.
+  template <typename Pred> size_t gallop(size_t From, Pred Before) const {
+    size_t Step = 1;
+    for (; From + Step <= Pairs.size() && Before(Pairs[From + Step - 1]);
+         Step *= 2)
+      From += Step;
+    auto Hi = Pairs.begin() + std::min(From + Step, Pairs.size());
+    return static_cast<size_t>(
+        std::partition_point(Pairs.begin() + From, Hi, Before) -
+        Pairs.begin());
+  }
+
   std::vector<DefPair> Pairs;
 };
+
+/// Per-label kill sets as the resources they kill (see maskResources).
+using KilledResources = std::vector<std::vector<Resource>>;
 
 /// A label-indexed table of PairSets whose entries are stored densely —
 /// a row of a shared BitMatrix over a shared DefPairDomain — and

@@ -143,41 +143,42 @@ std::vector<uint64_t> vif::hashProcessSlices(const ElaboratedProgram &Program,
 
 namespace {
 
-void encodeMatrix(ByteWriter &W, const BitMatrix &M, size_t NL, size_t WW) {
-  for (size_t I = 0; I < NL; ++I) {
-    const uint64_t *Row = M.row(I);
-    for (size_t J = 0; J < WW; ++J)
-      W.u64(Row[J]);
+/// Both artifact payloads: iterations, NL, K, the domain's K pairs, then
+/// each NL x K matrix of \p Mats (none when K == 0; NL is the row count of
+/// the first).
+std::string encodeArtifact(uint64_t Iterations, const DefPairDomain *Dom,
+                           std::initializer_list<const BitMatrix *> Mats) {
+  ByteWriter W;
+  W.u64(Iterations);
+  size_t K = Dom ? Dom->size() : 0;
+  size_t NL = *Mats.begin() ? (*Mats.begin())->numRows() : 0;
+  W.u32(static_cast<uint32_t>(NL));
+  W.u32(static_cast<uint32_t>(K));
+  for (size_t I = 0; I < K; ++I) {
+    DefPair P = Dom->pair(I);
+    W.u32(P.N.raw());
+    W.u32(P.L);
   }
+  if (K)
+    for (const BitMatrix *M : Mats)
+      for (size_t I = 0; I < NL; ++I)
+        for (size_t J = 0; J < (K + 63) / 64; ++J)
+          W.u64(M->row(I)[J]);
+  return W.take();
 }
 
-/// Reads an NL x K matrix; bits beyond K in the last payload word are
-/// masked off so garbage padding can never index outside the domain.
-std::shared_ptr<BitMatrix> decodeMatrix(ByteReader &R, uint32_t NL,
-                                        uint32_t K) {
-  auto M = std::make_shared<BitMatrix>(NL, K);
-  size_t WW = (K + 63) / 64;
-  uint64_t LastMask =
-      (K % 64) ? ((uint64_t(1) << (K % 64)) - 1) : ~uint64_t(0);
-  for (uint32_t I = 0; I < NL; ++I) {
-    uint64_t *Row = M->row(I);
-    for (size_t J = 0; J < WW; ++J)
-      Row[J] = R.u64();
-    Row[WW - 1] &= LastMask;
-  }
-  return M;
-}
-
-/// Shared header of both artifact payloads; returns false if the sizes
-/// are inconsistent with the remaining bytes (so corrupt headers are
-/// rejected before any allocation is sized from them). \p NumMatrices is
-/// the matrix count that must follow the domain.
-bool decodeHeader(ByteReader &R, uint64_t &Iterations, uint32_t &NL,
-                  uint32_t &K, std::shared_ptr<const DefPairDomain> &DomOut,
-                  size_t NumMatrices) {
+/// Decodes an encodeArtifact payload into \p Iterations, \p DomOut and
+/// the matrices \p Mats points to. Returns false on any anomaly; sizes
+/// are checked against the remaining bytes before anything is allocated
+/// from them, so corrupt headers are rejected cheaply.
+bool decodeArtifact(std::string_view Blob, uint64_t &Iterations,
+                    std::shared_ptr<const DefPairDomain> &DomOut,
+                    std::initializer_list<std::shared_ptr<const BitMatrix> *>
+                        Mats) {
+  ByteReader R(Blob);
   Iterations = R.u64();
-  NL = R.u32();
-  K = R.u32();
+  uint32_t NL = R.u32();
+  uint32_t K = R.u32();
   if (!R.ok() || K > R.remaining() / 8)
     return false;
   auto Dom = std::make_shared<DefPairDomain>();
@@ -191,88 +192,54 @@ bool decodeHeader(ByteReader &R, uint64_t &Iterations, uint32_t &NL,
   if (!R.ok() || Dom->size() != K)
     return false;
   if (K) {
-    uint64_t RowBytes = uint64_t((K + 63) / 64) * 8;
-    if (uint64_t(NL) > R.remaining() / RowBytes / NumMatrices)
+    size_t WW = (K + 63) / 64;
+    if (uint64_t(NL) > R.remaining() / (WW * 8) / Mats.size())
       return false;
+    // Bits beyond K in the last payload word are masked off, so garbage
+    // padding can never index outside the domain.
+    uint64_t LastMask =
+        (K % 64) ? (uint64_t(1) << (K % 64)) - 1 : ~uint64_t(0);
+    for (std::shared_ptr<const BitMatrix> *Out : Mats) {
+      auto M = std::make_shared<BitMatrix>(NL, K);
+      for (uint32_t I = 0; I < NL; ++I) {
+        for (size_t J = 0; J < WW; ++J)
+          M->row(I)[J] = R.u64();
+        M->row(I)[WW - 1] &= LastMask;
+      }
+      *Out = std::move(M);
+    }
   }
   DomOut = std::move(Dom);
-  return true;
+  return R.ok() && R.atEnd();
 }
 
 } // namespace
 
 std::string vif::encodeActiveArtifact(const ActiveProcessArtifact &A) {
-  ByteWriter W;
-  W.u64(A.Iterations);
-  size_t K = A.Dom ? A.Dom->size() : 0;
-  size_t NL = A.MayEntry ? A.MayEntry->numRows() : 0;
-  W.u32(static_cast<uint32_t>(NL));
-  W.u32(static_cast<uint32_t>(K));
-  for (size_t I = 0; I < K; ++I) {
-    DefPair P = A.Dom->pair(I);
-    W.u32(P.N.raw());
-    W.u32(P.L);
-  }
-  if (K) {
-    size_t WW = (K + 63) / 64;
-    encodeMatrix(W, *A.MayEntry, NL, WW);
-    encodeMatrix(W, *A.MayExit, NL, WW);
-    encodeMatrix(W, *A.MustEntry, NL, WW);
-    encodeMatrix(W, *A.MustExit, NL, WW);
-  }
-  return W.take();
+  return encodeArtifact(A.Iterations, A.Dom.get(),
+                        {A.MayEntry.get(), A.MayExit.get(), A.MustEntry.get(),
+                         A.MustExit.get()});
 }
 
 bool vif::decodeActiveArtifact(std::string_view Blob,
                                ActiveProcessArtifact &A) {
-  ByteReader R(Blob);
   ActiveProcessArtifact Out;
-  uint32_t NL = 0, K = 0;
-  if (!decodeHeader(R, Out.Iterations, NL, K, Out.Dom, 4))
-    return false;
-  if (K) {
-    Out.MayEntry = decodeMatrix(R, NL, K);
-    Out.MayExit = decodeMatrix(R, NL, K);
-    Out.MustEntry = decodeMatrix(R, NL, K);
-    Out.MustExit = decodeMatrix(R, NL, K);
-  }
-  if (!R.ok() || !R.atEnd())
+  if (!decodeArtifact(Blob, Out.Iterations, Out.Dom,
+                      {&Out.MayEntry, &Out.MayExit, &Out.MustEntry,
+                       &Out.MustExit}))
     return false;
   A = std::move(Out);
   return true;
 }
 
 std::string vif::encodeRdArtifact(const RdProcessArtifact &A) {
-  ByteWriter W;
-  W.u64(A.Iterations);
-  size_t K = A.Dom ? A.Dom->size() : 0;
-  size_t NL = A.Entry ? A.Entry->numRows() : 0;
-  W.u32(static_cast<uint32_t>(NL));
-  W.u32(static_cast<uint32_t>(K));
-  for (size_t I = 0; I < K; ++I) {
-    DefPair P = A.Dom->pair(I);
-    W.u32(P.N.raw());
-    W.u32(P.L);
-  }
-  if (K) {
-    size_t WW = (K + 63) / 64;
-    encodeMatrix(W, *A.Entry, NL, WW);
-    encodeMatrix(W, *A.Exit, NL, WW);
-  }
-  return W.take();
+  return encodeArtifact(A.Iterations, A.Dom.get(),
+                        {A.Entry.get(), A.Exit.get()});
 }
 
 bool vif::decodeRdArtifact(std::string_view Blob, RdProcessArtifact &A) {
-  ByteReader R(Blob);
   RdProcessArtifact Out;
-  uint32_t NL = 0, K = 0;
-  if (!decodeHeader(R, Out.Iterations, NL, K, Out.Dom, 2))
-    return false;
-  if (K) {
-    Out.Entry = decodeMatrix(R, NL, K);
-    Out.Exit = decodeMatrix(R, NL, K);
-  }
-  if (!R.ok() || !R.atEnd())
+  if (!decodeArtifact(Blob, Out.Iterations, Out.Dom, {&Out.Entry, &Out.Exit}))
     return false;
   A = std::move(Out);
   return true;
@@ -316,25 +283,26 @@ void ProcessArtifactTable::insert(uint64_t Key,
   }
 }
 
-std::shared_ptr<const ActiveProcessArtifact>
-ProcessArtifactTable::findActive(uint64_t Key) {
-  if (auto V = find(Key)) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    return std::static_pointer_cast<const ActiveProcessArtifact>(V);
-  }
-  if (Backing) {
-    std::string Blob;
-    if (Backing->load("actv", Key, Blob)) {
-      auto A = std::make_shared<ActiveProcessArtifact>();
-      if (decodeActiveArtifact(Blob, *A)) {
-        insert(Key, A);
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return A;
-      }
+template <typename T>
+std::shared_ptr<const T>
+ProcessArtifactTable::findAs(uint64_t Key, const char (&Kind)[5],
+                             bool (*Decode)(std::string_view, T &)) {
+  auto A = std::static_pointer_cast<const T>(find(Key));
+  std::string Blob;
+  if (!A && Backing && Backing->load(Kind, Key, Blob)) {
+    auto Loaded = std::make_shared<T>();
+    if (Decode(Blob, *Loaded)) {
+      insert(Key, Loaded);
+      A = std::move(Loaded);
     }
   }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  (A ? Hits : Misses).fetch_add(1, std::memory_order_relaxed);
+  return A;
+}
+
+std::shared_ptr<const ActiveProcessArtifact>
+ProcessArtifactTable::findActive(uint64_t Key) {
+  return findAs<ActiveProcessArtifact>(Key, "actv", decodeActiveArtifact);
 }
 
 void ProcessArtifactTable::insertActive(
@@ -346,23 +314,7 @@ void ProcessArtifactTable::insertActive(
 
 std::shared_ptr<const RdProcessArtifact>
 ProcessArtifactTable::findRd(uint64_t Key) {
-  if (auto V = find(Key)) {
-    Hits.fetch_add(1, std::memory_order_relaxed);
-    return std::static_pointer_cast<const RdProcessArtifact>(V);
-  }
-  if (Backing) {
-    std::string Blob;
-    if (Backing->load("rdpr", Key, Blob)) {
-      auto A = std::make_shared<RdProcessArtifact>();
-      if (decodeRdArtifact(Blob, *A)) {
-        insert(Key, A);
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return A;
-      }
-    }
-  }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  return findAs<RdProcessArtifact>(Key, "rdpr", decodeRdArtifact);
 }
 
 void ProcessArtifactTable::insertRd(uint64_t Key,
@@ -453,7 +405,8 @@ bool vif::analyzeIncremental(const ElaboratedProgram &Program,
   // Phase 3: Table 5 artifacts, keyed by the slice plus everything the
   // wait kill/gen sets read from outside the process: the "others"
   // unions and the two options that shape them.
-  std::vector<PairSet> RdKill(NumLabels + 1), RdGen(NumLabels + 1);
+  KilledResources RdKill(NumLabels + 1);
+  std::vector<PairSet> RdGen(NumLabels + 1);
   std::vector<uint64_t> RdIters(NumProcs, 0);
   std::vector<uint8_t> RdReused(NumProcs, 0);
   parallelFor(Opts.Jobs, NumProcs, [&](size_t PI) {

@@ -114,6 +114,10 @@ public:
 private:
   std::shared_ptr<const void> find(uint64_t Key);
   void insert(uint64_t Key, std::shared_ptr<const void> V);
+  /// find, falling through to the backing store's \p Kind blobs on a miss.
+  template <typename T>
+  std::shared_ptr<const T> findAs(uint64_t Key, const char (&Kind)[5],
+                                  bool (*Decode)(std::string_view, T &));
 
   struct Entry {
     std::shared_ptr<const void> Value;

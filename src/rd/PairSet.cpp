@@ -95,11 +95,6 @@ std::vector<Resource> PairSet::firstComponents() const {
   return Result;
 }
 
-std::vector<DefPair> PairSet::pairsFor(Resource N) const {
-  auto [It, End] = equalRange(N);
-  return std::vector<DefPair>(It, End);
-}
-
 std::pair<std::vector<DefPair>::const_iterator,
           std::vector<DefPair>::const_iterator>
 PairSet::equalRange(Resource N) const {

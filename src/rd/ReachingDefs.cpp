@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <unordered_map>
 
 using namespace vif;
 
@@ -52,6 +51,16 @@ std::vector<BitSet> othersUnion(const std::vector<BitSet> &Per,
     Prefix.unionWith(Per[I]);
   }
   return Out;
+}
+
+/// The initial definitions {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
+PairSet initialDefs(const ProcessCFG &P) {
+  PairSet Initial;
+  for (unsigned Var : P.FreeVars)
+    Initial.insert(DefPair{Resource::variable(Var), InitialLabel});
+  for (unsigned Sig : P.FreeSigs)
+    Initial.insert(DefPair{Resource::signal(Sig), InitialLabel});
+  return Initial;
 }
 
 /// Reference implementation by explicit tuple enumeration (validation).
@@ -130,19 +139,12 @@ void vif::fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
                                const ActiveSignalsResult &Active,
                                const CrossFlowAggregates &Agg,
                                const ReachingDefsOptions &Opts,
-                               std::vector<PairSet> &Kill,
+                               KilledResources &Kill,
                                std::vector<PairSet> &Gen) {
-  // Per-variable definition labels inside this process, ascending.
-  std::unordered_map<unsigned, std::vector<LabelId>> DefsOfVar;
-  for (LabelId L : P.Labels)
-    if (CFG.block(L).K == CFGBlock::Kind::VarAssign)
-      DefsOfVar[cast<VarAssignStmt>(CFG.block(L).S)->targetRef().Id]
-          .push_back(L);
-
   const BitSet &OthersMay = Agg.OthersMay[P.ProcessId];
   const BitSet &OthersMust = Agg.OthersMust[P.ProcessId];
   BitSet May(OthersMay.size()), Must(OthersMust.size());
-  // Every set is appended in DefPair order: resource first, then label.
+  // Gen sets are appended in DefPair order, kill lists in Resource order.
   for (LabelId L : P.Labels) {
     const CFGBlock &B = CFG.block(L);
     switch (B.K) {
@@ -150,11 +152,8 @@ void vif::fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
       const auto *A = cast<VarAssignStmt>(B.S);
       Resource Var = Resource::variable(A->targetRef().Id);
       Gen[L].append(DefPair{Var, L});
-      if (!A->hasSlice()) {
-        Kill[L].append(DefPair{Var, InitialLabel});
-        for (LabelId DefL : DefsOfVar[A->targetRef().Id])
-          Kill[L].append(DefPair{Var, DefL});
-      }
+      if (!A->hasSlice())
+        Kill[L].push_back(Var);
       break;
     }
     case CFGBlock::Kind::Wait: {
@@ -169,16 +168,10 @@ void vif::fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
       May.forEach([&](size_t Sig) {
         Gen[L].append(DefPair{Resource::signal(static_cast<unsigned>(Sig)), L});
       });
-      if (Opts.UseMustActiveKill) {
-        // wS(ss_i): the labels where a present signal value can be
-        // defined within process i — the initial "?" plus its waits.
+      if (Opts.UseMustActiveKill)
         Must.forEach([&](size_t Sig) {
-          Resource S = Resource::signal(static_cast<unsigned>(Sig));
-          Kill[L].append(DefPair{S, InitialLabel});
-          for (LabelId DefL : P.WaitLabels)
-            Kill[L].append(DefPair{S, DefL});
+          Kill[L].push_back(Resource::signal(static_cast<unsigned>(Sig)));
         });
-      }
       break;
     }
     case CFGBlock::Kind::Null:
@@ -187,6 +180,24 @@ void vif::fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
       break;
     }
   }
+}
+
+void vif::expandRdKill(const ProgramCFG &CFG, const ProcessCFG &P,
+                       const KilledResources &Kill,
+                       std::vector<PairSet> &Out) {
+  // Assignment labels per variable; signals are defined at waits, wS(ss_i).
+  std::map<Resource, std::vector<LabelId>> DefsOfVar;
+  for (LabelId L : P.Labels)
+    if (CFG.block(L).K == CFGBlock::Kind::VarAssign)
+      DefsOfVar[Resource::variable(
+                    cast<VarAssignStmt>(CFG.block(L).S)->targetRef().Id)]
+          .push_back(L);
+  for (LabelId L : P.Labels)
+    for (Resource N : Kill[L]) {
+      Out[L].append(DefPair{N, InitialLabel});
+      for (LabelId DefL : N.isVariable() ? DefsOfVar[N] : P.WaitLabels)
+        Out[L].append(DefPair{N, DefL});
+    }
 }
 
 ReachingDefsKillGen
@@ -238,16 +249,12 @@ vif::analyzeReachingDefs(const ElaboratedProgram &Program,
   return R;
 }
 
-RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
-                                      const ProcessCFG &P,
-                                      const std::vector<PairSet> &Kill,
-                                      const std::vector<PairSet> &Gen) {
+RdProcessArtifact
+vif::solveProcessRd(const ProgramCFG &CFG, const ProcessCFG &P,
+                    const KilledResources &Kill,
+                    const std::vector<PairSet> &Gen) {
   RdProcessArtifact A;
-  PairSet Initial;
-  for (unsigned Var : P.FreeVars)
-    Initial.insert(DefPair{Resource::variable(Var), InitialLabel});
-  for (unsigned Sig : P.FreeSigs)
-    Initial.insert(DefPair{Resource::signal(Sig), InitialLabel});
+  PairSet Initial = initialDefs(P);
 
   auto Dom = std::make_shared<DefPairDomain>();
   Dom->addAll(Initial);
@@ -264,12 +271,13 @@ RdProcessArtifact vif::solveProcessRd(const ProgramCFG &CFG,
   size_t W = (K + 63) / 64;
 
   // Whole-table BitMatrix rows instead of per-label BitSets; the two
-  // result tables are shared with the label slots installed later.
+  // result tables are shared with the label slots installed later. A kill
+  // row is the union of its killed resources' domain ranges.
   std::vector<uint64_t> InitialMask(W, 0);
   Dom->maskInto(Initial, InitialMask.data());
   BitMatrix KillM(NL, K), GenM(NL, K);
   for (uint32_t I = 0; I < NL; ++I) {
-    Dom->maskInto(Kill[FI.label(I)], KillM.row(I));
+    Dom->maskResources(Kill[FI.label(I)], KillM.row(I));
     Dom->maskInto(Gen[FI.label(I)], GenM.row(I));
   }
 
@@ -339,16 +347,13 @@ vif::analyzeReachingDefsReference(const ElaboratedProgram &Program,
   R.Entry.resize(NumLabels + 1);
   R.Exit.resize(NumLabels + 1);
 
+  // The paper's literal kill sets, pair by pair.
   ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active, Opts);
-  const std::vector<PairSet> &Kill = KG.Kill;
-  const std::vector<PairSet> &Gen = KG.Gen;
+  std::vector<PairSet> Kill(NumLabels + 1);
 
   for (const ProcessCFG &P : CFG.processes()) {
-    PairSet Initial;
-    for (unsigned Var : P.FreeVars)
-      Initial.insert(DefPair{Resource::variable(Var), InitialLabel});
-    for (unsigned Sig : P.FreeSigs)
-      Initial.insert(DefPair{Resource::signal(Sig), InitialLabel});
+    expandRdKill(CFG, P, KG.Kill, Kill);
+    PairSet Initial = initialDefs(P);
 
     std::vector<PairSet> Exit(NumLabels + 1);
 
@@ -376,7 +381,7 @@ vif::analyzeReachingDefsReference(const ElaboratedProgram &Program,
 
       PairSet Out = std::move(In);
       Out.subtract(Kill[L]);
-      Out.unionWith(Gen[L]);
+      Out.unionWith(KG.Gen[L]);
 
       if (Out == Exit[L])
         continue;

@@ -20,6 +20,14 @@
 ///    (x, ?) pair standing for the initial value;
 ///  * entry of init(ss_i) is {(x,?) | x ∈ FV(ss_i)} ∪ {(s,?) | s ∈ FS(ss_i)}.
 ///
+/// Kill sets are kept as the resources they kill. The paper's
+/// {(x,?)} ∪ {(x,l') | l' assigns x in ss_i}, and a wait's (s,?) plus the
+/// process's waits, meet the process's dense domain (rd/DenseDomain.h) in
+/// exactly x's resp. s's contiguous range, so the solver masks ranges:
+/// O(NL * K / 64) words per process of NL labels and K domain pairs, not
+/// O(D^2) pairs for a variable assigned D times. Only the reference solver
+/// expands the literal pair sets (expandRdKill).
+///
 /// The quantifications over cf tuples are computed in factored form (the
 /// tuple components range independently, see cfg/CFG.h): per process, the
 /// union of every *other* process's wait aggregates, as signal-id bitsets
@@ -108,9 +116,11 @@ analyzeReachingDefsReference(const ElaboratedProgram &Program,
                              const ReachingDefsOptions &Opts = {});
 
 /// The Table 5 kill/gen sets per label (shared by the worklist solver and
-/// the ALFP encoding of the equations; vectors indexed by label).
+/// the ALFP encoding of the equations; vectors indexed by label). Kill[L]
+/// lists the killed resources: x at a whole [x := e]^l, the must-active
+/// signals at a wait.
 struct ReachingDefsKillGen {
-  std::vector<PairSet> Kill;
+  KilledResources Kill;
   std::vector<PairSet> Gen;
 };
 
@@ -148,8 +158,14 @@ void fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
                           const ActiveSignalsResult &Active,
                           const CrossFlowAggregates &Agg,
                           const ReachingDefsOptions &Opts,
-                          std::vector<PairSet> &Kill,
+                          KilledResources &Kill,
                           std::vector<PairSet> &Gen);
+
+/// The paper's literal Table 5 kill sets at \p P's labels, into \p Out
+/// (spanning all labels): a killed n becomes (n,?) plus P's assignments to
+/// a variable n, resp. P's waits for a signal n. Validation only.
+void expandRdKill(const ProgramCFG &CFG, const ProcessCFG &P,
+                  const KilledResources &Kill, std::vector<PairSet> &Out);
 
 /// One process's dense Table 5 solution — the unit the incremental layer
 /// caches and recomposes whole-program results from. Rows are indexed by
@@ -166,7 +182,7 @@ struct RdProcessArtifact {
 /// body of analyzeReachingDefs, exposed so dirty processes can be
 /// re-solved in isolation.
 RdProcessArtifact solveProcessRd(const ProgramCFG &CFG, const ProcessCFG &P,
-                                 const std::vector<PairSet> &Kill,
+                                 const KilledResources &Kill,
                                  const std::vector<PairSet> &Gen);
 
 /// Installs \p A's rows into the whole-program result tables (the label

@@ -265,6 +265,22 @@ public:
     for (size_t I = 0; I < W; ++I)
       Dst[I] = 0;
   }
+  /// Sets bits [First, Last) of the span \p Dst, a word at a time.
+  static void setRange(uint64_t *Dst, size_t First, size_t Last) {
+    if (First >= Last)
+      return;
+    size_t FW = First >> 6, LW = (Last - 1) >> 6;
+    uint64_t Head = ~uint64_t(0) << (First & 63);
+    uint64_t Tail = ~uint64_t(0) >> (63 - ((Last - 1) & 63));
+    if (FW == LW) {
+      Dst[FW] |= Head & Tail;
+      return;
+    }
+    Dst[FW] |= Head;
+    for (size_t I = FW + 1; I < LW; ++I)
+      Dst[I] = ~uint64_t(0);
+    Dst[LW] |= Tail;
+  }
   static bool equal(const uint64_t *A, const uint64_t *B, size_t W) {
     for (size_t I = 0; I < W; ++I)
       if (A[I] != B[I])

@@ -191,4 +191,21 @@ TEST(BitMatrix, SpanOperationsMatchBitSetSemantics) {
   EXPECT_FALSE(M.test(0, 0));
 }
 
+TEST(BitMatrix, SetRangeSetsExactlyTheHalfOpenRange) {
+  // Every [First, Last) over three words, on top of one stray bit that
+  // must survive: empty ranges, single words, and both boundaries.
+  const size_t Bits = 192, W = 3, Stray = 100;
+  for (size_t First = 0; First <= Bits; ++First)
+    for (size_t Last = First; Last <= Bits; ++Last) {
+      std::vector<uint64_t> Row(W, 0);
+      Row[Stray >> 6] |= uint64_t(1) << (Stray & 63);
+      BitMatrix::setRange(Row.data(), First, Last);
+      for (size_t I = 0; I < Bits; ++I) {
+        bool Want = (I >= First && I < Last) || I == Stray;
+        ASSERT_EQ(((Row[I >> 6] >> (I & 63)) & 1) != 0, Want)
+            << "[" << First << ", " << Last << ") bit " << I;
+      }
+    }
+}
+
 } // namespace

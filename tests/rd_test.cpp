@@ -7,10 +7,12 @@
 #include "parse/Parser.h"
 #include "rd/Incremental.h"
 #include "rd/ReachingDefs.h"
+#include "workloads/AesVhdl.h"
 #include "workloads/Synthetic.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 using namespace vif;
@@ -334,7 +336,9 @@ TEST(ReachingDefs, HsiehLevitanKillGenMatchesBruteForce) {
   ReachingDefsKillGen Full = computeReachingDefsKillGen(A.CFG, A.Active);
 
   bool Narrower = false;
+  std::vector<PairSet> Literal(A.CFG.numLabels() + 1);
   for (const ProcessCFG &P : A.CFG.processes()) {
+    expandRdKill(A.CFG, P, KG.Kill, Literal);
     for (LabelId L : P.WaitLabels) {
       std::set<unsigned> May = signalsIn(A.Active.MayEntry[L]);
       std::set<unsigned> Must = signalsIn(A.Active.MustEntry[L]);
@@ -354,15 +358,18 @@ TEST(ReachingDefs, HsiehLevitanKillGenMatchesBruteForce) {
         Must.insert(Meet.begin(), Meet.end());
       }
       PairSet Gen, Kill;
+      std::vector<Resource> Killed;
       for (unsigned S : May)
         Gen.insert(DefPair{Resource::signal(S), L});
       for (unsigned S : Must) {
+        Killed.push_back(Resource::signal(S));
         Kill.insert(DefPair{Resource::signal(S), InitialLabel});
         for (LabelId W : P.WaitLabels)
           Kill.insert(DefPair{Resource::signal(S), W});
       }
       EXPECT_TRUE(KG.Gen[L] == Gen) << "gen at " << L;
-      EXPECT_TRUE(KG.Kill[L] == Kill) << "kill at " << L;
+      EXPECT_TRUE(KG.Kill[L] == Killed) << "killed signals at " << L;
+      EXPECT_TRUE(Literal[L] == Kill) << "literal kill at " << L;
       EXPECT_TRUE(KG.Kill[L] == Full.Kill[L]) << "HL changed kill at " << L;
       Narrower |= KG.Gen[L].size() < Full.Gen[L].size();
     }
@@ -463,12 +470,135 @@ TEST(ReachingDefs, IncrementalEqualsColdOnRandomDesigns) {
   EXPECT_GT(Edited, 0u);
 }
 
+/// For every label of every process of \p A: the kill rows the dense
+/// solvers mask from killed resources equal maskInto of the paper's
+/// literal kill sets over the same domain (Table 4 and Table 5).
+void expectRangeKillRowsMatchLiteral(const Analyzed &A) {
+  size_t NL = A.CFG.numLabels() + 1;
+  ActiveKillGen AKG = computeActiveKillGen(A.CFG);
+  ReachingDefsKillGen KG = computeReachingDefsKillGen(A.CFG, A.Active);
+  std::vector<PairSet> ActLiteral(NL), RdLiteral(NL);
+  size_t NonEmpty = 0;
+  auto Compare = [&](const DefPairDomain &Dom, LabelId L,
+                     const std::vector<Resource> &Killed,
+                     const PairSet &Literal, const char *Table) {
+    std::vector<uint64_t> Range((Dom.size() + 63) / 64, 0);
+    std::vector<uint64_t> Pairs(Range.size(), 0);
+    Dom.maskResources(Killed, Range.data());
+    Dom.maskInto(Literal, Pairs.data());
+    EXPECT_EQ(Range, Pairs) << Table << " kill row at " << L;
+    NonEmpty += std::any_of(Range.begin(), Range.end(),
+                            [](uint64_t W) { return W != 0; });
+  };
+  for (const ProcessCFG &P : A.CFG.processes()) {
+    expandActiveKill(A.CFG, P, AKG.Kill, ActLiteral);
+    expandRdKill(A.CFG, P, KG.Kill, RdLiteral);
+    ActiveProcessArtifact Act = solveProcessActive(A.CFG, P, AKG);
+    RdProcessArtifact Rd = solveProcessRd(A.CFG, P, KG.Kill, KG.Gen);
+    for (LabelId L : P.Labels) {
+      Compare(*Act.Dom, L, AKG.Kill[L], ActLiteral[L], "Table 4");
+      Compare(*Rd.Dom, L, KG.Kill[L], RdLiteral[L], "Table 5");
+    }
+  }
+  EXPECT_GT(NonEmpty, 0u) << "no label kills anything";
+}
+
+TEST(ReachingDefs, RangeKillRowsEqualLiteralKillSets) {
+  {
+    SCOPED_TRACE("subBytes/2");
+    expectRangeKillRowsMatchLiteral(
+        analyzeStmts(workloads::subBytesStatements(2)));
+  }
+  {
+    SCOPED_TRACE("pipeline/16");
+    expectRangeKillRowsMatchLiteral(
+        analyzeDesign(workloads::pipelineDesign(16)));
+  }
+  {
+    SCOPED_TRACE("syncMesh/3x3x4");
+    expectRangeKillRowsMatchLiteral(
+        analyzeDesign(workloads::syncMeshDesign(3, 3, 4)));
+  }
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
+    SCOPED_TRACE("random seed " + std::to_string(Seed));
+    expectRangeKillRowsMatchLiteral(
+        analyzeDesign(workloads::randomDesign(Seed, 4, 8, 4)));
+  }
+}
+
 TEST(ReachingDefs, AtProcessEnd) {
   Analyzed A = analyzeStmts("x := a; if c then x := b; end if;");
   PairSet End = A.RD.atProcessEnd(A.CFG.process(0));
   EXPECT_TRUE(End.contains(var(A.Program, "x", 1)));
   EXPECT_TRUE(End.contains(var(A.Program, "x", 3)));
   EXPECT_TRUE(End.contains(var(A.Program, "a", InitialLabel)));
+}
+
+//===----------------------------------------------------------------------===//
+// DefPairDomain range masks
+//===----------------------------------------------------------------------===//
+
+/// A domain over v0 (3 pairs), v1 (70 pairs, crossing word 0/1), v3 (1),
+/// s0 (2) and s5 (60 pairs, crossing word 1/2): 136 pairs in 3 words.
+DefPairDomain rangeTestDomain() {
+  DefPairDomain Dom;
+  auto Add = [&](Resource N, unsigned Count) {
+    for (unsigned I = 0; I < Count; ++I)
+      Dom.add(DefPair{N, I}); // label 0 is the initial "?" definition
+  };
+  Add(Resource::variable(0), 3);
+  Add(Resource::variable(1), 70);
+  Add(Resource::variable(3), 1);
+  Add(Resource::signal(0), 2);
+  Add(Resource::signal(5), 60);
+  Dom.finalize();
+  return Dom;
+}
+
+/// maskResources(Rs) against the pair-by-pair definition: bit I is set
+/// iff pair I's resource is in Rs.
+void expectMaskMatches(const DefPairDomain &Dom,
+                       const std::vector<Resource> &Rs) {
+  std::vector<uint64_t> Row((Dom.size() + 63) / 64, 0);
+  Dom.maskResources(Rs, Row.data());
+  for (size_t I = 0; I < Dom.size(); ++I) {
+    bool In = std::find(Rs.begin(), Rs.end(), Dom.pair(I).N) != Rs.end();
+    EXPECT_EQ(((Row[I >> 6] >> (I & 63)) & 1) != 0, In) << "bit " << I;
+  }
+}
+
+TEST(DefPairDomain, MaskResourcesEdgeCases) {
+  DefPairDomain Dom = rangeTestDomain();
+  ASSERT_EQ(Dom.size(), 136u);
+  Resource V0 = Resource::variable(0), V1 = Resource::variable(1),
+           V2 = Resource::variable(2), V3 = Resource::variable(3),
+           S0 = Resource::signal(0), S1 = Resource::signal(1),
+           S5 = Resource::signal(5), S9 = Resource::signal(9);
+
+  // Empty list, and resources absent from the domain (before, between
+  // and after the ranges) set nothing.
+  for (const std::vector<Resource> &Rs :
+       {std::vector<Resource>{}, {V2}, {S1}, {S9}, {V2, S1, S9}}) {
+    std::vector<uint64_t> Row(3, 0);
+    Dom.maskResources(Rs, Row.data());
+    EXPECT_EQ(Row, std::vector<uint64_t>(3, 0));
+  }
+  expectMaskMatches(Dom, {V0});         // first resource
+  expectMaskMatches(Dom, {S5});         // last resource, crosses 127/128
+  expectMaskMatches(Dom, {V1});         // crosses the 63/64 boundary
+  expectMaskMatches(Dom, {V1, V3, S0}); // adjacent ranges
+  expectMaskMatches(Dom, {V0, V2, V3, S1, S5}); // absent ones mixed in
+  expectMaskMatches(Dom, {V0, V1, V3, S0, S5}); // everything
+
+  // The range form agrees with maskInto of the resources' pairs.
+  PairSet Pairs;
+  for (size_t I = 0; I < Dom.size(); ++I)
+    if (Dom.pair(I).N == V3 || Dom.pair(I).N == S5)
+      Pairs.append(Dom.pair(I));
+  std::vector<uint64_t> Range(3, 0), Literal(3, 0);
+  Dom.maskResources({V3, S5}, Range.data());
+  Dom.maskInto(Pairs, Literal.data());
+  EXPECT_EQ(Range, Literal);
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,8 +13,10 @@
 ///
 /// Oracle mode, per seed: generate a valid-by-construction design, then
 /// assert (1) parse + elaborate succeed, (2) dense RD == ReferenceSolver
-/// label by label, (3) --jobs invariance of both RD fixpoints, (4) full
-/// IFA through the dense solvers == through the reference solvers,
+/// label by label, and every Table 4/5 kill row the dense solvers mask
+/// from killed resources == maskInto of the literal kill set, (3) --jobs
+/// invariance of both RD fixpoints, (4) full IFA through the dense
+/// solvers == through the reference solvers,
 /// (5) BitSet closure == IFAOptions::ReferenceClosure, (6) sorted-run
 /// ResourceMatrix == ReferenceResourceMatrix under shuffled replay,
 /// (7) Digraph::transitiveClosure == DFS reachability on the flow graph,
@@ -173,6 +175,43 @@ size_t crossFlowTupleCount(const ProgramCFG &CFG) {
   return Count;
 }
 
+/// Leg (2)'s kill-row check: the dense solvers mask a kill row from the
+/// killed resources' domain ranges, which must equal maskInto of the
+/// paper's literal kill set (expandActiveKill / expandRdKill) over the
+/// same per-process domain, at every label.
+std::string rangeKillFailure(const ProgramCFG &CFG,
+                             const ActiveSignalsResult &Active) {
+  ActiveKillGen AKG = computeActiveKillGen(CFG);
+  ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active);
+  std::vector<PairSet> ActLiteral(CFG.numLabels() + 1);
+  std::vector<PairSet> RdLiteral(CFG.numLabels() + 1);
+  std::vector<uint64_t> Range, Literal;
+  auto Differs = [&](const DefPairDomain &Dom,
+                     const std::vector<Resource> &Killed,
+                     const PairSet &Pairs) {
+    Range.assign((Dom.size() + 63) / 64, 0);
+    Literal.assign(Range.size(), 0);
+    Dom.maskResources(Killed, Range.data());
+    Dom.maskInto(Pairs, Literal.data());
+    return Range != Literal;
+  };
+  for (const ProcessCFG &P : CFG.processes()) {
+    expandActiveKill(CFG, P, AKG.Kill, ActLiteral);
+    expandRdKill(CFG, P, KG.Kill, RdLiteral);
+    auto ActDom = solveProcessActive(CFG, P, AKG).Dom;
+    auto RdDom = solveProcessRd(CFG, P, KG.Kill, KG.Gen).Dom;
+    for (LabelId L : P.Labels) {
+      if (Differs(*ActDom, AKG.Kill[L], ActLiteral[L]))
+        return "Table 4 range kill row differs from the literal kill set "
+               "at label " + std::to_string(L);
+      if (Differs(*RdDom, KG.Kill[L], RdLiteral[L]))
+        return "Table 5 range kill row differs from the literal kill set "
+               "at label " + std::to_string(L);
+    }
+  }
+  return "";
+}
+
 /// Runs the whole oracle battery on \p Source. Returns an empty string on
 /// agreement, a description of the first disagreement otherwise. This is
 /// also the minimizer predicate for oracle failures, so it must depend on
@@ -203,6 +242,8 @@ std::string oracleFailure(const std::string &Source,
     if (!(RDDense.Entry[L] == RDRef.Entry[L]) ||
         !(RDDense.Exit[L] == RDRef.Exit[L]))
       return "reaching-defs sets disagree at label " + std::to_string(L);
+  if (std::string Why = rangeKillFailure(CFG, Dense); !Why.empty())
+    return Why;
 
   // (3) --jobs invariance of both fixpoints.
   ActiveSignalsResult DenseJ = analyzeActiveSignals(*P, CFG, 4);
