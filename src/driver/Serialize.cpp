@@ -7,6 +7,7 @@
 #include "driver/Serialize.h"
 
 #include "driver/ArtifactStore.h"
+#include "support/Graph.h"
 #include "support/JsonParse.h"
 
 #include <cmath>
@@ -37,6 +38,30 @@ void writeIdValue(JsonWriter &J, const JsonValue &Id) {
   } else {
     J.null();
   }
+}
+
+/// The "edgeList" records in sorted order. Each node's quoted, escaped
+/// name is rendered once, indexed by rank, so an edge costs two token
+/// copies instead of two escapes of the names it joins.
+void writeEdgeRecords(JsonWriter &J, const Digraph &G) {
+  const std::vector<Digraph::NodeId> &Ranked = G.rankedNodes();
+  std::string Tokens;
+  std::vector<size_t> Start;
+  Start.reserve(Ranked.size() + 1);
+  for (Digraph::NodeId Id : Ranked) {
+    Start.push_back(Tokens.size());
+    Tokens += '"';
+    jsonEscapeTo(Tokens, G.name(Id));
+    Tokens += '"';
+  }
+  Start.push_back(Tokens.size());
+  auto Token = [&](Digraph::NodeId Rank) {
+    return std::string_view(Tokens.data() + Start[Rank],
+                            Start[Rank + 1] - Start[Rank]);
+  };
+  G.forEachSortedEdgeRanked([&](Digraph::NodeId From, Digraph::NodeId To) {
+    J.tokenObject({{"from", Token(From)}, {"to", Token(To)}});
+  });
 }
 
 } // namespace
@@ -100,13 +125,7 @@ void vif::driver::writeDesignBody(JsonWriter &J, const DesignResult &D,
     J.key("edgeList");
     J.beginArray();
     if (D.Graph)
-      D.Graph->forEachSortedEdge(
-          [&J](std::string_view From, std::string_view To) {
-            J.beginObject();
-            J.member("from", From);
-            J.member("to", To);
-            J.endObject();
-          });
+      writeEdgeRecords(J, *D.Graph);
     J.endArray();
     J.endObject();
   }

@@ -37,19 +37,34 @@ void vif::computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
     KG.Kill[L].assign(Assigned.begin(), Assigned.end());
 }
 
-void vif::expandActiveKill(const ProgramCFG &CFG, const ProcessCFG &P,
-                           const KilledResources &Kill,
-                           std::vector<PairSet> &Out) {
-  std::map<Resource, std::vector<LabelId>> DefsOfSignal;
+void vif::literalActiveKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                               std::vector<PairSet> &Kill,
+                               std::vector<PairSet> &Gen) {
+  // Every (s, l) with [s <= e]^l in P: the gen pairs, and the pool each
+  // kill set draws from.
+  PairSet Defs;
   for (LabelId L : P.Labels)
     if (CFG.block(L).K == CFGBlock::Kind::SignalAssign)
-      DefsOfSignal[Resource::signal(
-                       cast<SignalAssignStmt>(CFG.block(L).S)->targetRef().Id)]
-          .push_back(L);
-  for (LabelId L : P.Labels)
-    for (Resource N : Kill[L])
-      for (LabelId DefL : DefsOfSignal[N])
-        Out[L].append(DefPair{N, DefL});
+      Defs.insert(DefPair{
+          Resource::signal(
+              cast<SignalAssignStmt>(CFG.block(L).S)->targetRef().Id),
+          L});
+  for (LabelId L : P.Labels) {
+    const CFGBlock &B = CFG.block(L);
+    if (B.K == CFGBlock::Kind::Wait) {
+      Kill[L] = Defs;
+      continue;
+    }
+    if (B.K != CFGBlock::Kind::SignalAssign)
+      continue;
+    const auto *A = cast<SignalAssignStmt>(B.S);
+    Resource Sig = Resource::signal(A->targetRef().Id);
+    Gen[L].insert(DefPair{Sig, L});
+    if (!A->hasSlice())
+      for (DefPair D : Defs)
+        if (D.N == Sig)
+          Kill[L].insert(D);
+  }
 }
 
 ActiveKillGen vif::computeActiveKillGen(const ProgramCFG &CFG) {
@@ -211,12 +226,12 @@ vif::analyzeActiveSignalsReference(const ElaboratedProgram &Program,
   R.MustEntry.resize(NumLabels + 1);
   R.MustExit.resize(NumLabels + 1);
 
-  // The paper's literal kill sets, pair by pair.
-  ActiveKillGen KG = computeActiveKillGen(CFG);
-  std::vector<PairSet> Kill(NumLabels + 1);
+  // The paper's literal kill and gen sets, pair by pair, straight from
+  // the CFG: a wrong production kill list cannot leak in here.
+  std::vector<PairSet> Kill(NumLabels + 1), Gen(NumLabels + 1);
 
   for (const ProcessCFG &P : CFG.processes()) {
-    expandActiveKill(CFG, P, KG.Kill, Kill);
+    literalActiveKillGen(CFG, P, Kill, Gen);
     std::vector<PairSet> MayExit(NumLabels + 1), MustExit(NumLabels + 1);
 
     std::map<LabelId, std::vector<LabelId>> Preds;
@@ -247,10 +262,10 @@ vif::analyzeActiveSignalsReference(const ElaboratedProgram &Program,
 
       PairSet MayOut = std::move(MayIn);
       MayOut.subtract(Kill[L]);
-      MayOut.unionWith(KG.Gen[L]);
+      MayOut.unionWith(Gen[L]);
       PairSet MustOut = std::move(MustIn);
       MustOut.subtract(Kill[L]);
-      MustOut.unionWith(KG.Gen[L]);
+      MustOut.unionWith(Gen[L]);
 
       bool Changed = !(MayOut == MayExit[L]) || !(MustOut == MustExit[L]);
       MayExit[L] = std::move(MayOut);

@@ -91,10 +91,15 @@ ActiveKillGen computeActiveKillGen(const ProgramCFG &CFG);
 void computeActiveKillGenFor(const ProgramCFG &CFG, const ProcessCFG &P,
                              ActiveKillGen &KG);
 
-/// The paper's literal Table 4 kill sets {(s,l') | l' assigns s in P} at
-/// \p P's labels, into \p Out (spanning all labels). Validation only.
-void expandActiveKill(const ProgramCFG &CFG, const ProcessCFG &P,
-                      const KilledResources &Kill, std::vector<PairSet> &Out);
+/// The paper's literal Table 4 kill and gen sets at \p P's labels, into
+/// \p Kill and \p Gen (spanning all labels), derived straight from the
+/// CFG rather than from computeActiveKillGen: a whole [s <= e]^l kills
+/// {(s,l') | l' assigns s in P}, a wait kills every such pair of P, and
+/// [s <= e]^l generates (s,l). Validation only (the reference solver and
+/// the kill-row oracles).
+void literalActiveKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                          std::vector<PairSet> &Kill,
+                          std::vector<PairSet> &Gen);
 
 /// One process's dense Table 4 solution — the unit the incremental layer
 /// caches and recomposes whole-program results from. Rows are indexed by

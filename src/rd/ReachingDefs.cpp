@@ -182,22 +182,40 @@ void vif::fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
   }
 }
 
-void vif::expandRdKill(const ProgramCFG &CFG, const ProcessCFG &P,
-                       const KilledResources &Kill,
-                       std::vector<PairSet> &Out) {
-  // Assignment labels per variable; signals are defined at waits, wS(ss_i).
-  std::map<Resource, std::vector<LabelId>> DefsOfVar;
+void vif::literalRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                           const ReachingDefsKillGen &KG,
+                           std::vector<PairSet> &Kill,
+                           std::vector<PairSet> &Gen) {
+  // (x,?) and every (x,l') with [x := e]^l' in P: the pool an assignment
+  // kill draws from.
+  PairSet VarDefs;
   for (LabelId L : P.Labels)
-    if (CFG.block(L).K == CFGBlock::Kind::VarAssign)
-      DefsOfVar[Resource::variable(
-                    cast<VarAssignStmt>(CFG.block(L).S)->targetRef().Id)]
-          .push_back(L);
-  for (LabelId L : P.Labels)
-    for (Resource N : Kill[L]) {
-      Out[L].append(DefPair{N, InitialLabel});
-      for (LabelId DefL : N.isVariable() ? DefsOfVar[N] : P.WaitLabels)
-        Out[L].append(DefPair{N, DefL});
+    if (CFG.block(L).K == CFGBlock::Kind::VarAssign) {
+      Resource Var = Resource::variable(
+          cast<VarAssignStmt>(CFG.block(L).S)->targetRef().Id);
+      VarDefs.insert(DefPair{Var, InitialLabel});
+      VarDefs.insert(DefPair{Var, L});
     }
+  for (LabelId L : P.Labels) {
+    const CFGBlock &B = CFG.block(L);
+    if (B.K == CFGBlock::Kind::VarAssign) {
+      const auto *A = cast<VarAssignStmt>(B.S);
+      Resource Var = Resource::variable(A->targetRef().Id);
+      Gen[L].insert(DefPair{Var, L});
+      if (!A->hasSlice())
+        for (DefPair D : VarDefs)
+          if (D.N == Var)
+            Kill[L].insert(D);
+    } else if (B.K == CFGBlock::Kind::Wait) {
+      // Signals are defined at waits, wS(ss_i).
+      Gen[L] = KG.Gen[L];
+      for (Resource Sig : KG.Kill[L]) {
+        Kill[L].insert(DefPair{Sig, InitialLabel});
+        for (LabelId W : P.WaitLabels)
+          Kill[L].insert(DefPair{Sig, W});
+      }
+    }
+  }
 }
 
 ReachingDefsKillGen
@@ -347,12 +365,13 @@ vif::analyzeReachingDefsReference(const ElaboratedProgram &Program,
   R.Entry.resize(NumLabels + 1);
   R.Exit.resize(NumLabels + 1);
 
-  // The paper's literal kill sets, pair by pair.
+  // The paper's literal kill and gen sets, pair by pair; assignments are
+  // read straight off the CFG, waits take the cross-flow sets.
   ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active, Opts);
-  std::vector<PairSet> Kill(NumLabels + 1);
+  std::vector<PairSet> Kill(NumLabels + 1), Gen(NumLabels + 1);
 
   for (const ProcessCFG &P : CFG.processes()) {
-    expandRdKill(CFG, P, KG.Kill, Kill);
+    literalRdKillGen(CFG, P, KG, Kill, Gen);
     PairSet Initial = initialDefs(P);
 
     std::vector<PairSet> Exit(NumLabels + 1);
@@ -381,7 +400,7 @@ vif::analyzeReachingDefsReference(const ElaboratedProgram &Program,
 
       PairSet Out = std::move(In);
       Out.subtract(Kill[L]);
-      Out.unionWith(KG.Gen[L]);
+      Out.unionWith(Gen[L]);
 
       if (Out == Exit[L])
         continue;

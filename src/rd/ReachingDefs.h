@@ -26,7 +26,7 @@
 /// exactly x's resp. s's contiguous range, so the solver masks ranges:
 /// O(NL * K / 64) words per process of NL labels and K domain pairs, not
 /// O(D^2) pairs for a variable assigned D times. Only the reference solver
-/// expands the literal pair sets (expandRdKill).
+/// builds the literal pair sets (literalRdKillGen).
 ///
 /// The quantifications over cf tuples are computed in factored form (the
 /// tuple components range independently, see cfg/CFG.h): per process, the
@@ -161,11 +161,16 @@ void fillProcessRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
                           KilledResources &Kill,
                           std::vector<PairSet> &Gen);
 
-/// The paper's literal Table 5 kill sets at \p P's labels, into \p Out
-/// (spanning all labels): a killed n becomes (n,?) plus P's assignments to
-/// a variable n, resp. P's waits for a signal n. Validation only.
-void expandRdKill(const ProgramCFG &CFG, const ProcessCFG &P,
-                  const KilledResources &Kill, std::vector<PairSet> &Out);
+/// The paper's literal Table 5 kill and gen sets at \p P's labels, into
+/// \p Kill and \p Gen (spanning all labels). Assignments are derived
+/// straight from the CFG rather than from \p KG: a whole [x := e]^l kills
+/// (x,?) plus every (x,l') with l' assigning x in P, and generates (x,l).
+/// Waits expand \p KG's cross-flow sets: a killed signal s becomes (s,?)
+/// plus P's waits. Validation only (the reference solver and the kill-row
+/// oracles).
+void literalRdKillGen(const ProgramCFG &CFG, const ProcessCFG &P,
+                      const ReachingDefsKillGen &KG,
+                      std::vector<PairSet> &Kill, std::vector<PairSet> &Gen);
 
 /// One process's dense Table 5 solution — the unit the incremental layer
 /// caches and recomposes whole-program results from. Rows are indexed by

@@ -142,13 +142,40 @@ void Digraph::addEdges(std::vector<std::pair<NodeId, NodeId>> EdgeList) {
 // readers (two query threads over one cached session graph) serialize only
 // on first use; after that the fast path is a single atomic load.
 
+namespace {
+
+/// One stable counting-sort pass: scatters \p In into \p Out ordered by
+/// Key(element), every key below \p NumKeys. O(|In| + NumKeys); \p Count
+/// is scratch, reused across passes.
+template <typename T, typename KeyFn>
+void countingPass(const std::vector<T> &In, std::vector<T> &Out,
+                  size_t NumKeys, std::vector<uint32_t> &Count, KeyFn Key) {
+  Count.assign(NumKeys + 1, 0);
+  for (const T &X : In)
+    ++Count[Key(X) + 1];
+  for (size_t K = 1; K <= NumKeys; ++K)
+    Count[K] += Count[K - 1];
+  Out.resize(In.size());
+  for (const T &X : In)
+    Out[Count[Key(X)]++] = X;
+}
+
+} // namespace
+
 void Digraph::flushEdges() const {
   if (!EdgesDirty.load(std::memory_order_acquire))
     return;
   std::lock_guard<std::mutex> Lock(*ViewMutex);
   if (!EdgesDirty.load(std::memory_order_relaxed))
     return;
-  std::sort(Pending.begin(), Pending.end());
+  // Two stable counting passes over the dense ids — by target, then by
+  // source — leave Pending in (from, to) order in O(P + V).
+  std::vector<std::pair<NodeId, NodeId>> ByTo;
+  std::vector<uint32_t> Count;
+  countingPass(Pending, ByTo, Names.size(), Count,
+               [](const auto &E) { return E.second; });
+  countingPass(ByTo, Pending, Names.size(), Count,
+               [](const auto &E) { return E.first; });
   Pending.erase(std::unique(Pending.begin(), Pending.end()), Pending.end());
   if (Edges.empty()) {
     Edges.swap(Pending);
@@ -186,16 +213,15 @@ void Digraph::ensureEdgeOrder() const {
   std::lock_guard<std::mutex> Lock(*ViewMutex);
   if (EdgeOrderValid.load(std::memory_order_relaxed))
     return;
-  EdgeOrder.resize(Edges.size());
-  std::iota(EdgeOrder.begin(), EdgeOrder.end(), uint32_t(0));
-  std::sort(EdgeOrder.begin(), EdgeOrder.end(),
-            [this](uint32_t A, uint32_t B) {
-              const auto &EA = Edges[A], &EB = Edges[B];
-              NodeId FA = RankOf[EA.first], FB = RankOf[EB.first];
-              if (FA != FB)
-                return FA < FB;
-              return RankOf[EA.second] < RankOf[EB.second];
-            });
+  // Edges are unique, so the (rank[from], rank[to]) keys are too: two
+  // stable counting passes over the ranks give exactly the sorted order.
+  std::vector<uint32_t> Index(Edges.size()), Count;
+  std::iota(Index.begin(), Index.end(), uint32_t(0));
+  std::vector<uint32_t> ByTo;
+  countingPass(Index, ByTo, Names.size(), Count,
+               [this](uint32_t I) { return RankOf[Edges[I].second]; });
+  countingPass(ByTo, EdgeOrder, Names.size(), Count,
+               [this](uint32_t I) { return RankOf[Edges[I].first]; });
   EdgeOrderValid.store(true, std::memory_order_release);
 }
 

@@ -48,11 +48,14 @@ class BitMatrix;
 /// Edges live in one flat sorted vector; addEdge/addEdges append to a
 /// pending buffer that is merged in lazily, so bulk construction (the flow
 /// graphs, the Warshall closure below) never pays per-edge ordered-set
-/// node allocations. Sorted iteration orders are likewise cached lazily: a
-/// lexicographic node-rank permutation and an edge permutation sorted by
-/// (rank[from], rank[to]) are computed once and reused, so emitting a
-/// result costs an integer sort the first time and nothing after. The lazy
-/// merge mutates on const reads, but builds are internally synchronized:
+/// node allocations; the flush orders the pending pairs with two stable
+/// counting passes over the dense node ids (by target, then by source), so
+/// it runs in O(P + V) for P pairs over V nodes. Sorted iteration orders
+/// are likewise cached lazily: a lexicographic node-rank permutation and
+/// an edge permutation sorted by (rank[from], rank[to]) — two more
+/// counting passes, over the ranks — are computed once and reused, so
+/// emitting a result costs O(E + V) the first time and nothing after. The
+/// lazy merge mutates on const reads, but builds are internally synchronized:
 /// each view flips an atomic flag under a per-graph mutex (double-checked),
 /// so concurrent const readers — e.g. two query threads touching the same
 /// cached session graph — race only on the cheap acquire load. Mutation
@@ -79,7 +82,7 @@ public:
   /// Bulk-inserts edges given as id pairs over existing nodes. The list is
   /// sorted and deduplicated on the next flush, so callers — in particular
   /// the id-based flow-graph extraction — can append pairs freely and hand
-  /// them over in one O(E log E) pass instead of E ordered insertions.
+  /// them over in one O(E + V) pass instead of E ordered insertions.
   void addEdges(std::vector<std::pair<NodeId, NodeId>> EdgeList);
 
   /// Pre-sizes the name table and index for \p N expected nodes.
@@ -250,7 +253,9 @@ private:
   mutable std::vector<NodeId> RankOf;
   mutable std::atomic<bool> RankValid{false};
   /// Indices into Edges in (rank[from], rank[to]) order — the lexicographic
-  /// edge order without touching a byte of string data.
+  /// edge order without touching a byte of string data. Edges are unique,
+  /// so the keys are too and the counting passes reproduce exactly the
+  /// comparison-sort order.
   mutable std::vector<uint32_t> EdgeOrder;
   mutable std::atomic<bool> EdgeOrderValid{false};
   /// Serializes lazy view construction across concurrent const readers.

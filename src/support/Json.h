@@ -17,7 +17,9 @@
 #ifndef VIF_SUPPORT_JSON_H
 #define VIF_SUPPORT_JSON_H
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -47,9 +49,11 @@ enum class JsonStyle : uint8_t { Pretty, Compact };
 ///   J.key("designs"); J.beginArray(); ... J.endArray();
 ///   J.endObject();   // emits the final newline (Pretty style only)
 ///
-/// Output is batched in an internal buffer and reaches the stream when
-/// the top-level container closes (or on destruction), so emitting a
-/// large document costs string appends, not per-token ostream calls.
+/// Output is batched in an internal buffer that is handed to the stream
+/// whenever it holds at least ChunkBytes before the next element, when
+/// the top-level container closes, and on destruction. Emitting a large
+/// document thus costs string appends, not per-token ostream calls, and
+/// the buffer stays bounded instead of growing to the document's size.
 class JsonWriter {
 public:
   explicit JsonWriter(std::ostream &OS, unsigned IndentWidth = 2)
@@ -91,18 +95,39 @@ public:
     value(V);
   }
 
+  /// One member of tokenObject(): a key and its value as an already
+  /// rendered JSON token (e.g. a quoted, escaped string).
+  struct TokenMember {
+    std::string_view Key;
+    std::string_view Token;
+  };
+
+  /// Emits an object whose member values are pre-rendered tokens, laid
+  /// out exactly as beginObject(), member()..., endObject() would. Lets a
+  /// caller render a value repeated across many records (a graph node
+  /// name in every edge it touches) once per document. Keys are copied
+  /// verbatim, so they must be plain names that need no escaping.
+  void tokenObject(std::initializer_list<TokenMember> Members);
+
+  /// Buffered bytes that trigger a hand-off to the stream.
+  static constexpr size_t ChunkBytes = 64 * 1024;
+
 private:
   void open(char C);
   void close(char C);
-  /// Emits the separator/indentation due before the next value.
+  /// After a completed top-level value: the trailing newline (Pretty) and
+  /// the final hand-off to the stream.
+  void finishIfTopLevel();
+  /// Emits the separator/indentation due before the next value, first
+  /// handing a full buffer to the stream.
   void prefix();
   void indent();
   /// Writes the buffered output to the stream.
   void flush();
 
   std::ostream &OS;
-  /// Pending output; flushed when the outermost container closes and on
-  /// destruction.
+  /// Pending output; flushed once it reaches ChunkBytes, when the
+  /// outermost container closes and on destruction.
   std::string Buf;
   unsigned IndentWidth;
   /// Compact style: no newlines, no indentation, no trailing newline.

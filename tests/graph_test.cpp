@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -230,6 +232,141 @@ TEST(Digraph, ReachabilityClosureMatchesDfs) {
     for (Digraph::NodeId J = 0; J < G.numNodes(); ++J)
       EXPECT_EQ(M.test(I, J), G.reachable(Names[I], Names[J]))
           << Names[I] << " -> " << Names[J];
+}
+
+// The flush and the sorted edge view are counting sorts over node ids and
+// ranks; these tests hold them to the comparison-sort definitions on
+// seeded random graphs.
+
+using EdgeIds = std::vector<std::pair<Digraph::NodeId, Digraph::NodeId>>;
+
+/// Random names of 1..6 letters, so that rank order and id order differ.
+std::string randomName(std::mt19937 &Rng) {
+  std::string Name;
+  for (unsigned Len = 1 + Rng() % 6; Len--;)
+    Name += static_cast<char>('a' + Rng() % 5);
+  return Name;
+}
+
+/// Pairs over \p V nodes, including duplicates and self-loops.
+EdgeIds randomPairs(std::mt19937 &Rng, unsigned V, size_t Count) {
+  EdgeIds Pairs;
+  for (size_t I = 0; I < Count; ++I) {
+    Digraph::NodeId From = Rng() % V;
+    Digraph::NodeId To = Rng() % 8 == 0 ? From : Rng() % V;
+    Pairs.push_back({From, To});
+    if (Rng() % 4 == 0)
+      Pairs.push_back(Pairs.back());
+  }
+  return Pairs;
+}
+
+/// Checks the flushed storage order, the ranked and the named sorted
+/// views of \p G against std::sort over \p All, every pair ever added.
+void expectViewsMatchReference(const Digraph &G, EdgeIds All) {
+  std::sort(All.begin(), All.end());
+  All.erase(std::unique(All.begin(), All.end()), All.end());
+  EdgeIds Stored;
+  G.forEachEdgeId([&](Digraph::NodeId F, Digraph::NodeId T) {
+    Stored.push_back({F, T});
+  });
+  EXPECT_EQ(Stored, All);
+  ASSERT_EQ(G.numEdges(), All.size());
+
+  std::vector<std::pair<std::string_view, std::string_view>> ByName;
+  for (const auto &[F, T] : All)
+    ByName.push_back({G.name(F), G.name(T)});
+  std::sort(ByName.begin(), ByName.end());
+  std::vector<std::pair<std::string_view, std::string_view>> Sorted;
+  G.forEachSortedEdge([&](std::string_view F, std::string_view T) {
+    Sorted.push_back({F, T});
+  });
+  EXPECT_EQ(Sorted, ByName);
+
+  EdgeIds Ranked, RankedRef;
+  const std::vector<Digraph::NodeId> &Order = G.rankedNodes();
+  for (const auto &[F, T] : ByName)
+    RankedRef.push_back({G.rankOf(G.id(F)), G.rankOf(G.id(T))});
+  G.forEachSortedEdgeRanked([&](Digraph::NodeId F, Digraph::NodeId T) {
+    Ranked.push_back({F, T});
+    EXPECT_LT(F, Order.size());
+    EXPECT_LT(T, Order.size());
+  });
+  EXPECT_EQ(Ranked, RankedRef);
+  EXPECT_TRUE(std::is_sorted(Ranked.begin(), Ranked.end()));
+}
+
+TEST(Digraph, CountingSortFlushMatchesStdSort) {
+  for (unsigned Seed = 1; Seed <= 40; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    Digraph G;
+    unsigned Want = 1 + Rng() % (Seed % 4 == 0 ? 300 : 24);
+    for (unsigned I = 0; I < Want; ++I)
+      G.addNode(randomName(Rng));
+    unsigned V = static_cast<unsigned>(G.numNodes());
+    EdgeIds Pairs = randomPairs(Rng, V, Rng() % (4 * V + 2));
+    G.addEdges(Pairs);
+    expectViewsMatchReference(G, Pairs);
+  }
+}
+
+TEST(Digraph, EmptyGraphViews) {
+  Digraph G;
+  EXPECT_EQ(G.numEdges(), 0u);
+  G.addEdges({});
+  expectViewsMatchReference(G, {});
+  G.addNode("x");
+  G.addNode("a");
+  expectViewsMatchReference(G, {});
+  EXPECT_EQ(G.rankOf(G.id("a")), 0u);
+}
+
+TEST(Digraph, AddEdgesIntoFlushedGraphMerges) {
+  for (unsigned Seed = 1; Seed <= 20; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    Digraph G;
+    for (unsigned I = 0; I < 40; ++I)
+      G.addNode(randomName(Rng));
+    unsigned V = static_cast<unsigned>(G.numNodes());
+    EdgeIds All;
+    for (unsigned Batch = 0; Batch < 4; ++Batch) {
+      EdgeIds Pairs = randomPairs(Rng, V, Rng() % 60);
+      All.insert(All.end(), Pairs.begin(), Pairs.end());
+      G.addEdges(Pairs);
+      if (Batch % 2 == 0) {
+        // A single addEdge rides along with the bulk batch.
+        Digraph::NodeId From = Rng() % V;
+        G.addEdge(From, 0);
+        All.push_back({From, 0});
+      }
+      // Flushing (and building the views) between batches sends the next
+      // batch down the merge path.
+      expectViewsMatchReference(G, All);
+    }
+  }
+}
+
+TEST(Digraph, AddNodeAfterEdgesKeepsEdgeOrder) {
+  std::mt19937 Rng(7);
+  Digraph G;
+  for (unsigned I = 0; I < 30; ++I)
+    G.addNode(randomName(Rng));
+  unsigned V = static_cast<unsigned>(G.numNodes());
+  EdgeIds All = randomPairs(Rng, V, 120);
+  G.addEdges(All);
+  G.ensureSortedViews();
+  // New names rank before, between and after the existing ones, so
+  // every existing rank may shift while the cached edge order stays.
+  for (std::string Name : {"", "aaaaaaa", "c", "cz", "zzz"})
+    G.addNode(Name);
+  expectViewsMatchReference(G, All);
+  // Edges touching the new nodes rebuild the order under the new ranks.
+  EdgeIds More = {{G.id("cz"), G.id("")}, {G.id("zzz"), 0}, {0, G.id("c")}};
+  G.addEdges(More);
+  All.insert(All.end(), More.begin(), More.end());
+  expectViewsMatchReference(G, All);
 }
 
 TEST(Digraph, ConcurrentLazyViewsAreSafe) {

@@ -337,8 +337,9 @@ TEST(ReachingDefs, HsiehLevitanKillGenMatchesBruteForce) {
 
   bool Narrower = false;
   std::vector<PairSet> Literal(A.CFG.numLabels() + 1);
+  std::vector<PairSet> LiteralGen(A.CFG.numLabels() + 1);
   for (const ProcessCFG &P : A.CFG.processes()) {
-    expandRdKill(A.CFG, P, KG.Kill, Literal);
+    literalRdKillGen(A.CFG, P, KG, Literal, LiteralGen);
     for (LabelId L : P.WaitLabels) {
       std::set<unsigned> May = signalsIn(A.Active.MayEntry[L]);
       std::set<unsigned> Must = signalsIn(A.Active.MustEntry[L]);
@@ -477,7 +478,7 @@ void expectRangeKillRowsMatchLiteral(const Analyzed &A) {
   size_t NL = A.CFG.numLabels() + 1;
   ActiveKillGen AKG = computeActiveKillGen(A.CFG);
   ReachingDefsKillGen KG = computeReachingDefsKillGen(A.CFG, A.Active);
-  std::vector<PairSet> ActLiteral(NL), RdLiteral(NL);
+  std::vector<PairSet> ActLiteral(NL), RdLiteral(NL), ActGen(NL), RdGen(NL);
   size_t NonEmpty = 0;
   auto Compare = [&](const DefPairDomain &Dom, LabelId L,
                      const std::vector<Resource> &Killed,
@@ -491,8 +492,8 @@ void expectRangeKillRowsMatchLiteral(const Analyzed &A) {
                             [](uint64_t W) { return W != 0; });
   };
   for (const ProcessCFG &P : A.CFG.processes()) {
-    expandActiveKill(A.CFG, P, AKG.Kill, ActLiteral);
-    expandRdKill(A.CFG, P, KG.Kill, RdLiteral);
+    literalActiveKillGen(A.CFG, P, ActLiteral, ActGen);
+    literalRdKillGen(A.CFG, P, KG, RdLiteral, RdGen);
     ActiveProcessArtifact Act = solveProcessActive(A.CFG, P, AKG);
     RdProcessArtifact Rd = solveProcessRd(A.CFG, P, KG.Kill, KG.Gen);
     for (LabelId L : P.Labels) {

@@ -177,14 +177,16 @@ size_t crossFlowTupleCount(const ProgramCFG &CFG) {
 
 /// Leg (2)'s kill-row check: the dense solvers mask a kill row from the
 /// killed resources' domain ranges, which must equal maskInto of the
-/// paper's literal kill set (expandActiveKill / expandRdKill) over the
-/// same per-process domain, at every label.
+/// paper's literal kill set (literalActiveKillGen / literalRdKillGen, read
+/// off the CFG) over the same per-process domain, at every label.
 std::string rangeKillFailure(const ProgramCFG &CFG,
                              const ActiveSignalsResult &Active) {
   ActiveKillGen AKG = computeActiveKillGen(CFG);
   ReachingDefsKillGen KG = computeReachingDefsKillGen(CFG, Active);
   std::vector<PairSet> ActLiteral(CFG.numLabels() + 1);
   std::vector<PairSet> RdLiteral(CFG.numLabels() + 1);
+  std::vector<PairSet> ActGen(CFG.numLabels() + 1);
+  std::vector<PairSet> RdGen(CFG.numLabels() + 1);
   std::vector<uint64_t> Range, Literal;
   auto Differs = [&](const DefPairDomain &Dom,
                      const std::vector<Resource> &Killed,
@@ -196,8 +198,8 @@ std::string rangeKillFailure(const ProgramCFG &CFG,
     return Range != Literal;
   };
   for (const ProcessCFG &P : CFG.processes()) {
-    expandActiveKill(CFG, P, AKG.Kill, ActLiteral);
-    expandRdKill(CFG, P, KG.Kill, RdLiteral);
+    literalActiveKillGen(CFG, P, ActLiteral, ActGen);
+    literalRdKillGen(CFG, P, KG, RdLiteral, RdGen);
     auto ActDom = solveProcessActive(CFG, P, AKG).Dom;
     auto RdDom = solveProcessRd(CFG, P, KG.Kill, KG.Gen).Dom;
     for (LabelId L : P.Labels) {
